@@ -19,6 +19,7 @@ from .monitor import (
     DirectiveKind,
     EventKind,
     FileEvent,
+    Snapshot,
     matches_exclusion,
     sha256_file,
 )
@@ -167,8 +168,29 @@ def _bundle_path(category: Category, rel: str | None, path: Path) -> str:
     return f"{top}/{rel}"
 
 
-def _finish_record(record: ArtifactRecord, config: RunConfig) -> ArtifactRecord:
-    if record.original_path.is_file():
+def _snapshot_entry(
+    path: Path, snapshots: Sequence[Snapshot]
+) -> tuple[int, float, str] | None:
+    for snapshot in snapshots:
+        try:
+            rel = path.relative_to(snapshot.root)
+        except ValueError:
+            continue
+        entry = snapshot.entries.get(rel.as_posix())
+        if entry is not None:
+            return entry
+    return None
+
+
+def _finish_record(
+    record: ArtifactRecord, config: RunConfig, snapshots: Sequence[Snapshot]
+) -> ArtifactRecord:
+    entry = _snapshot_entry(record.original_path, snapshots)
+    if entry is not None:
+        # hashed (or reused) by the after-snapshot; write_bundle checks the
+        # copy against this digest, so a later change is still caught
+        record.size_bytes, _, record.sha256 = entry
+    elif record.original_path.is_file():
         try:
             record.size_bytes = record.original_path.stat().st_size
             record.sha256 = sha256_file(record.original_path)
@@ -200,6 +222,7 @@ def _classify_group(
     entry_script: Path | None,
     exclude_patterns: tuple[str, ...],
     watched_roots: Sequence[Path],
+    snapshots: Sequence[Snapshot],
     errors: list[str],
 ) -> list[ArtifactRecord]:
     states: dict[Path, _PathState] = {}
@@ -281,7 +304,7 @@ def _classify_group(
             also_generated=also_generated,
             logged_by=LoggedBy.USER if st.user_logged else LoggedBy.AUTO,
         )
-        records.append(_finish_record(record, config))
+        records.append(_finish_record(record, config, snapshots))
 
     for path in order:
         st = states[path]
@@ -317,6 +340,7 @@ def classify(
     config: RunConfig,
     cwd: Path,
     entry_script: Path | None = None,
+    snapshots: Sequence[Snapshot] = (),
 ) -> list[RunSegment]:
     """Partition the merged timeline into segments of classified records.
 
@@ -326,6 +350,10 @@ def classify(
     Input record flagged also_generated; UNTRACK anywhere in a segment
     removes that path's record entirely, and an UNTRACK in a later segment
     downgrades earlier copies of the path to metadata-only.
+
+    A record whose file is listed in one of snapshots (looked up by its path
+    relative to the snapshot root) takes size and sha256 from that entry;
+    every other record is hashed now.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
@@ -370,7 +398,8 @@ def classify(
         taken_names.add(name)
         errors: list[str] = []
         records = _classify_group(
-            group, config, cwd, entry_script, exclude_patterns, watched_roots, errors
+            group, config, cwd, entry_script, exclude_patterns, watched_roots,
+            snapshots, errors,
         )
         segments.append(RunSegment(name=name, records=records, errors=errors))
 

@@ -225,6 +225,24 @@ def unify_timeline(
     return out_events, out_directives
 
 
+def read_control_lines(path: Path) -> list[str]:
+    """Read the control file as universal-newline UTF-8 text, line by line.
+
+    A line that is not valid UTF-8 becomes a blank line, with a warning
+    naming its 1-based number: it still consumes its seq index, and only
+    that directive is lost instead of the whole run.
+    """
+    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = []
+    for number, raw in enumerate(data.split(b"\n"), start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            log.warning("control line %d is not valid UTF-8 and was ignored", number)
+            lines.append("")
+    return lines
+
+
 def run(argv: list[str]) -> int:
     """Execute the full wrapper pipeline; returns the process exit code."""
     if "--" not in argv:
@@ -298,6 +316,7 @@ def run(argv: list[str]) -> int:
         child_status = meta.exit_status
 
         try:
+            after_snapshots: list[Snapshot] = []
             if backend is Backend.TRACE:
                 with open(trace_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
                     events = parse_trace_stream(handle, cwd=cwd)
@@ -319,12 +338,12 @@ def run(argv: list[str]) -> int:
             else:
                 events = []
                 for root in watch_roots:
-                    after = take_snapshot(root, snapshot_excludes)
+                    after = take_snapshot(root, snapshot_excludes, previous=before[root])
+                    after_snapshots.append(after)
                     for event in diff_snapshots(before[root], after):
                         events.append(dataclasses.replace(event, seq=len(events)))
 
-            control_lines = control_path.read_text(encoding="utf-8").split("\n")
-            directives = parse_control_stream(control_lines)
+            directives = parse_control_stream(read_control_lines(control_path))
 
             events, directives = unify_timeline(
                 events,
@@ -339,6 +358,7 @@ def run(argv: list[str]) -> int:
                 config,
                 cwd,
                 entry_script=entry_script,
+                snapshots=after_snapshots,
             )
 
             for segment in segments:

@@ -9,13 +9,16 @@ append to (addressed via the YPROV_CONTROL environment variable).
 from __future__ import annotations
 
 import fnmatch
+import functools
 import hashlib
 import logging
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path, PurePosixPath
+from pathlib import Path
+from stat import S_ISREG
+from time import time_ns
 from typing import Iterable, Sequence
 
 from .errors import ControlParseError, TraceParseError
@@ -36,20 +39,33 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+@functools.lru_cache(maxsize=64)
+def _exclusion_regex(patterns: tuple[str, ...]) -> re.Pattern[str]:
+    return re.compile("|".join(fnmatch.translate(pattern) for pattern in patterns))
+
+
 def matches_exclusion(rel_path: str, patterns: Sequence[str]) -> bool:
-    """True when rel_path or any of its ancestor directories matches a glob."""
+    """True when rel_path or any of its ancestor directories matches a glob.
+
+    rel_path itself is matched as given; its ancestors are matched in the
+    normalized form PurePosixPath prints them in (no "." components, no
+    doubled or trailing slashes).
+    """
     if not patterns:
         return False
-    candidates = [rel_path]
-    parent = PurePosixPath(rel_path).parent
-    while str(parent) not in (".", "/", ""):
-        candidates.append(str(parent))
-        parent = parent.parent
-    return any(
-        fnmatch.fnmatchcase(candidate, pattern)
-        for candidate in candidates
-        for pattern in patterns
-    )
+    match = _exclusion_regex(tuple(patterns)).match
+    if match(rel_path):
+        return True
+    path = rel_path
+    if "//" in path or "/." in path or path.startswith(".") or path.endswith("/"):
+        parts = [part for part in path.split("/") if part not in ("", ".")]
+        path = ("/" if path.startswith("/") else "") + "/".join(parts)
+    end = path.rfind("/")
+    while end > 0:
+        if match(path[:end]):
+            return True
+        end = path.rfind("/", 0, end)
+    return False
 
 
 class EventKind(Enum):
@@ -70,24 +86,52 @@ class FileEvent:
     pid: int | None = None
 
 
+RACY_MARGIN_NS = 2_000_000_000
+"""How much older than the previous snapshot's start a file's ctime must be
+before that snapshot's digest is reused. A change within one timestamp tick
+of the earlier stat can leave size, mtime and ctime all equal; git's
+"racily clean" rule, with room for filesystems with coarse timestamps."""
+
+
 @dataclass(frozen=True)
 class Snapshot:
-    """Recursive listing of regular files under root: rel path -> (size, mtime, sha256)."""
+    """Recursive listing of regular files under root.
+
+    entries maps each relative path to (size, mtime, sha256). stat_keys maps
+    it to (st_ctime_ns, st_ino) as stat'ed before hashing, and started_ns is
+    the wall-clock time the walk began; these two only decide whether a
+    later snapshot of the same root may reuse a digest.
+    """
 
     root: Path
     entries: dict[str, tuple[int, float, str]]
+    stat_keys: dict[str, tuple[int, int]] = field(default_factory=dict)
+    started_ns: int = 0
 
 
-def take_snapshot(root: Path, excludes: Sequence[str] = ()) -> Snapshot:
+def take_snapshot(
+    root: Path, excludes: Sequence[str] = (), previous: Snapshot | None = None
+) -> Snapshot:
     """Hash every regular file under root, skipping exclusion matches.
 
-    Unreadable files are skipped with a warning; they never abort the
-    snapshot. Symlinked directories are not followed.
+    Given previous, an earlier snapshot of the same root, a file keeps its
+    previous digest without being read again when its size, mtime and
+    (st_ctime_ns, st_ino) are all unchanged and its ctime is at least
+    RACY_MARGIN_NS older than previous.started_ns; every other file is
+    hashed. Unreadable files are skipped with a warning; they never abort
+    the snapshot. Symlinked directories are not followed.
     """
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"snapshot root is not a directory: {root}")
+    if previous is None:
+        previous = Snapshot(root=root, entries={})  # no stat keys: nothing reused
+    elif previous.root != root:
+        raise ValueError(f"snapshot roots differ: {previous.root} vs {root}")
+    started_ns = time_ns()
+    reuse_before = previous.started_ns - RACY_MARGIN_NS
     entries: dict[str, tuple[int, float, str]] = {}
+    stat_keys: dict[str, tuple[int, int]] = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
         kept = []
@@ -100,18 +144,34 @@ def take_snapshot(root: Path, excludes: Sequence[str] = ()) -> Snapshot:
             rel = name if rel_dir == "." else f"{rel_dir}/{name}"
             if matches_exclusion(rel, excludes):
                 continue
-            full = Path(dirpath) / name
-            if not full.is_file():
-                continue  # fifos, sockets, dangling symlinks
+            full = os.path.join(dirpath, name)
             try:
-                size = full.stat().st_size
-                mtime = full.stat().st_mtime
-                digest = sha256_file(full)
+                st = os.stat(full)
+            except FileNotFoundError:
+                continue  # dangling symlink, or removed during the walk
             except OSError as exc:
                 log.warning("snapshot skipping unreadable file %s: %s", full, exc)
                 continue
-            entries[rel] = (size, mtime, digest)
-    return Snapshot(root=root, entries=entries)
+            if not S_ISREG(st.st_mode):
+                continue  # fifos, sockets, devices
+            key = previous.stat_keys.get(rel)
+            if (
+                key == (st.st_ctime_ns, st.st_ino)
+                and st.st_ctime_ns <= reuse_before
+                and previous.entries[rel][:2] == (st.st_size, st.st_mtime)
+            ):
+                # share the previous objects: an unchanged file costs no memory
+                entries[rel] = previous.entries[rel]
+                stat_keys[rel] = key
+                continue
+            try:
+                digest = sha256_file(Path(full))
+            except OSError as exc:
+                log.warning("snapshot skipping unreadable file %s: %s", full, exc)
+                continue
+            entries[rel] = (st.st_size, st.st_mtime, digest)
+            stat_keys[rel] = (st.st_ctime_ns, st.st_ino)
+    return Snapshot(root=root, entries=entries, stat_keys=stat_keys, started_ns=started_ns)
 
 
 def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:

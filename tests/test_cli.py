@@ -1,9 +1,13 @@
 """Wrapper CLI: flag mapping, timeline unification, end-to-end pipeline."""
 
+import importlib
 import json
 import os
 import shutil
 import sys
+import textwrap
+import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -272,3 +276,84 @@ class TestRunEndToEnd:
                 results.setdefault(section, []).append(payload.get(section))
         for section, values in results.items():
             assert values[0] == values[1], section
+
+    def test_undecodable_control_line_loses_only_that_line(self, project, caplog):
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'ab') as fh:\n"
+            "    fh.write(b'INPUT\\tbad\\xff.txt\\nINPUT\\tassets/results.csv\\n')\n"
+        )
+        with caplog.at_level("WARNING"):
+            status = run(["--backend", "diff", "--", sys.executable, "-c", child])
+        assert status == 0
+        payload = json.loads((project / "prov_0" / "provenance.json").read_bytes())
+        entity = payload["entity"]["yProv4DA:inputs/assets/results.csv"]
+        assert entity["yprov:logged_by"] == "user"
+        assert any("control line 1" in r.getMessage() for r in caplog.records)
+
+
+_HASH_CHILD = textwrap.dedent(
+    """\
+    import os
+
+    with open(os.environ["YPROV_CONTROL"], "a") as fh:
+        fh.write("INPUT\\tdata/input.csv\\n")
+    with open("data/input.csv") as fh:
+        fh.read()
+    with open("data/edit.txt", "a") as fh:
+        fh.write("more\\n")
+    with open("out.txt", "w") as fh:
+        fh.write("created\\n")
+    """
+)
+
+
+class TestHashOncePerState:
+    def test_each_file_is_hashed_once_per_state(self, tmp_path, monkeypatch):
+        workdir = (tmp_path / "work").resolve()
+        (workdir / "data").mkdir(parents=True)
+        unchanged = ["main.py"] + [f"data/u{i}.txt" for i in range(4)]
+        for rel in unchanged[1:]:
+            (workdir / rel).write_text(f"unchanged {rel}\n")
+        (workdir / "main.py").write_text(_HASH_CHILD)
+        (workdir / "data" / "input.csv").write_text("x\n1\n")
+        (workdir / "data" / "edit.txt").write_text("old\n")
+        monkeypatch.chdir(workdir)
+
+        monitor = importlib.import_module("provwrap.monitor")
+        # every file above was written long enough ago to be reusable
+        real_now = time.time_ns
+        monkeypatch.setattr(monitor, "time_ns", lambda: real_now() + 10 * 10**9)
+        real_hash = monitor.sha256_file
+        calls = {caller: Counter() for caller in ("monitor", "classify", "bundle")}
+        for caller, seen in calls.items():
+            def counting(path, seen=seen):
+                seen[Path(path)] += 1
+                return real_hash(path)
+
+            module = importlib.import_module(f"provwrap.{caller}")
+            monkeypatch.setattr(module, "sha256_file", counting)
+
+        assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+
+        # unchanged and read-only files: the before-snapshot only; the
+        # modified file again in the after-snapshot; the created file once
+        assert calls["monitor"] == Counter(
+            {workdir / rel: 1 for rel in [*unchanged, "data/input.csv"]}
+            | {workdir / "data/edit.txt": 2, workdir / "out.txt": 1}
+        )
+        assert calls["classify"] == Counter()
+        bundle = workdir / "prov_0"
+        copies = {
+            bundle / rel
+            for rel in ("src/main.py", "inputs/data/input.csv",
+                        "outputs/data/edit.txt", "outputs/out.txt")
+        }
+        assert all(path.is_file() for path in copies)
+        assert calls["bundle"] == Counter({path: 1 for path in copies})
+        # the INPUT file: the before-snapshot and the post-copy check
+        assert (
+            calls["monitor"][workdir / "data/input.csv"]
+            + calls["bundle"][bundle / "inputs/data/input.csv"]
+            == 2
+        )

@@ -1,9 +1,18 @@
 """Snapshot, diff and control-channel tests."""
 
+import fnmatch
 import hashlib
+import importlib
+import os
 import random
+import stat
+import tempfile
+import time
+from pathlib import Path, PurePosixPath
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from provwrap import (
     ControlDirective,
@@ -14,6 +23,10 @@ from provwrap import (
     parse_control_stream,
     take_snapshot,
 )
+from provwrap.classify import DEFAULT_EXCLUDES
+from provwrap.monitor import RACY_MARGIN_NS, matches_exclusion
+
+monitor = importlib.import_module("provwrap.monitor")
 
 # Verified against the sha256sum utility before implementation.
 SHA256_HI = "8f434346648f6b96df89dda901c5176b10a6d83961dd3c1ac88b59b2dc327aa4"
@@ -73,6 +86,174 @@ class TestTakeSnapshot:
             snap = take_snapshot(tmp_path)
         assert set(snap.entries) == {"fine.txt"}
         assert any("cursed.txt" in record.message for record in caplog.records)
+
+
+def _push_clock(monkeypatch, seconds=10):
+    """Make every file written so far look older than the racy margin."""
+    real = time.time_ns
+    monkeypatch.setattr(monitor, "time_ns", lambda: real() + seconds * 10**9)
+
+
+def _restamp_until_ctime_moves(path, old_key):
+    """Stand in for the time a pushed clock pretends has passed.
+
+    With the clock pushed, a file's ctime from before the previous snapshot
+    counts as at least RACY_MARGIN_NS old, so any later change lands on a
+    later ctime tick. On a filesystem with coarse ctimes a change made a few
+    microseconds later may share the old tick; re-stamping the same times
+    moves ctime without touching size, mtime or content.
+    """
+    deadline = time.monotonic() + 5
+    while True:
+        now = os.stat(path)
+        if (now.st_ctime_ns, now.st_ino) != old_key:
+            return
+        assert time.monotonic() < deadline, f"ctime of {path} never moved"
+        os.utime(path, ns=(now.st_atime_ns, now.st_mtime_ns))
+
+
+_NAMES = ["a.txt", "b.txt", "sub/c.txt", "sub/d.bin", "sub/deep/e.bin"]
+_MUTATION = st.tuples(
+    st.sampled_from(["same_size", "rename_over", "recreate", "chmod", "new_file"]),
+    st.sampled_from(_NAMES),
+    st.binary(min_size=0, max_size=12),
+)
+
+
+class TestSnapshotDigestReuse:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        initial=st.dictionaries(st.sampled_from(_NAMES), st.binary(max_size=12), min_size=1),
+        mutations=st.lists(_MUTATION, max_size=6),
+    )
+    def test_reusing_snapshot_equals_fresh_snapshot(
+        self, tmp_path, monkeypatch, initial, mutations
+    ):
+        _push_clock(monkeypatch)
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        for name, data in initial.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        before = take_snapshot(root)
+        touched = set()
+        for op, name, data in mutations:
+            path = root / name
+            touched.add(name)
+            if op == "new_file" or not path.exists():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(data)
+                continue
+            old = os.stat(path)
+            if op == "same_size":
+                path.write_bytes(bytes(b ^ 0xFF for b in path.read_bytes()))
+                os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+            elif op == "rename_over":
+                spare = root / "spare.tmp"
+                spare.write_bytes(bytes(b ^ 0x55 for b in path.read_bytes()))
+                os.utime(spare, ns=(old.st_atime_ns, old.st_mtime_ns))
+                os.replace(spare, path)
+            elif op == "recreate":
+                path.unlink()
+                path.write_bytes(data)
+            else:
+                os.chmod(path, stat.S_IMODE(old.st_mode) ^ 0o020)
+        for name in touched:
+            if name in before.stat_keys and (root / name).exists():
+                _restamp_until_ctime_moves(root / name, before.stat_keys[name])
+
+        reused = take_snapshot(root, previous=before)
+        assert reused.entries == take_snapshot(root).entries
+
+    def test_unchanged_file_shares_the_previous_entry(self, tmp_path, monkeypatch):
+        (tmp_path / "a.txt").write_text("same")
+        _push_clock(monkeypatch)
+        before = take_snapshot(tmp_path)
+        after = take_snapshot(tmp_path, previous=before)
+        assert after.entries["a.txt"] is before.entries["a.txt"]
+        assert after.stat_keys["a.txt"] is before.stat_keys["a.txt"]
+
+    def test_change_inside_racy_margin_is_rehashed(self, tmp_path, monkeypatch):
+        target = tmp_path / "data.bin"
+        target.write_bytes(b"old!")
+        written = os.stat(target)
+        # the snapshot starts 1 s after the file was written: inside the margin
+        monkeypatch.setattr(
+            monitor, "time_ns", lambda: written.st_ctime_ns + RACY_MARGIN_NS // 2
+        )
+        before = take_snapshot(tmp_path)
+        target.write_bytes(b"new!")
+        os.utime(target, ns=(written.st_atime_ns, written.st_mtime_ns))
+        # A filesystem with coarse ctimes could leave the whole stat key
+        # unchanged across this same-size rewrite; model that case.
+        now = os.stat(target)
+        before.stat_keys["data.bin"] = (now.st_ctime_ns, now.st_ino)
+
+        after = take_snapshot(tmp_path, previous=before)
+        assert after.entries["data.bin"][2] == hashlib.sha256(b"new!").hexdigest()
+        assert [(e.path.name, e.kind) for e in diff_snapshots(before, after)] == [
+            ("data.bin", EventKind.MODIFIED)
+        ]
+
+    def test_previous_snapshot_of_another_root_raises(self, tmp_path):
+        (tmp_path / "r1").mkdir()
+        (tmp_path / "r2").mkdir()
+        with pytest.raises(ValueError, match="roots differ"):
+            take_snapshot(tmp_path / "r2", previous=take_snapshot(tmp_path / "r1"))
+
+
+def _fnmatch_oracle(rel_path, patterns):
+    """The fnmatch + PurePosixPath implementation the compiled matcher replaced."""
+    if not patterns:
+        return False
+    candidates = [rel_path]
+    parent = PurePosixPath(rel_path).parent
+    while str(parent) not in (".", "/", ""):
+        candidates.append(str(parent))
+        parent = parent.parent
+    return any(
+        fnmatch.fnmatchcase(candidate, pattern)
+        for candidate in candidates
+        for pattern in patterns
+    )
+
+
+_COMPONENT = st.one_of(
+    st.sampled_from(
+        ["", ".", "..", "a", "x", "ab", ".git", "__pycache__", "m.pyc", "prov_0", "prov_x"]
+    ),
+    st.text(alphabet="abx._-", max_size=3),
+)
+_PATH = st.builds(
+    lambda prefix, parts, trailing: prefix + "/".join(parts) + trailing,
+    st.sampled_from(["", "/", "./", "///"]),
+    st.lists(_COMPONENT, min_size=1, max_size=5),
+    st.sampled_from(["", "/"]),
+    # PurePosixPath keeps exactly two leading slashes as a root of its own,
+    # whose parent is itself, so the oracle never terminates on "//x"
+).filter(lambda path: not (path.startswith("//") and not path.startswith("///")))
+_PATTERNS = st.lists(
+    st.sampled_from(
+        ["*", "**", "?", "[!x]", "a*", "*/a", "?/*", "[!x]*", "*.pyc", "prov_*"]
+        + list(DEFAULT_EXCLUDES)
+    ),
+    max_size=4,
+)
+
+
+class TestMatchesExclusion:
+    @settings(max_examples=500, deadline=None)
+    @given(path=_PATH, patterns=_PATTERNS)
+    def test_agrees_with_fnmatch_oracle(self, path, patterns):
+        assert matches_exclusion(path, patterns) == _fnmatch_oracle(path, patterns)
+
+    @given(path=_PATH)
+    def test_default_excludes_plus_bundle_dirs(self, path):
+        patterns = DEFAULT_EXCLUDES + ("prov_*",)
+        assert matches_exclusion(path, patterns) == _fnmatch_oracle(path, patterns)
 
 
 class TestDiffSnapshots:
