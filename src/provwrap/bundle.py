@@ -9,8 +9,11 @@ working-directory-relative paths.
 
 from __future__ import annotations
 
+import errno
 import logging
+import os
 import shutil
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,12 +55,35 @@ def allocate_run_dir(base_name: str, parent: Path) -> Path:
         return candidate
 
 
+_LINK_FALLBACK_ERRNOS = (errno.EPERM, errno.EXDEV, errno.EMLINK)
+
+
+def _link_shared(target: Path, destination: Path) -> bool:
+    """Hard-link destination to target and make the shared inode read-only.
+
+    Returns False, leaving nothing behind, when the filesystem refuses the
+    link (no hard links, another device, too many links).
+    """
+    try:
+        os.link(target, destination)
+    except OSError as exc:
+        if exc.errno in _LINK_FALLBACK_ERRNOS:
+            return False
+        raise
+    mode = stat.S_IMODE(os.stat(destination).st_mode)
+    if mode & 0o222:
+        # an in-place edit of one bundle's copy must not change another's
+        os.chmod(destination, mode & ~0o222)
+    return True
+
+
 def write_bundle(
     segment: RunSegment,
     doc: ProvDocument,
     meta: RunMetadata,
     config: RunConfig,
     bundle_dir: Path,
+    links: dict[tuple[str, int], Path] | None = None,
 ) -> BundleReport:
     """Copy artifacts and write all serialized products into bundle_dir.
 
@@ -66,6 +92,15 @@ def write_bundle(
     file that vanished between classification and copy is downgraded to
     metadata-only with a warning, and the provenance document is rebuilt
     so it describes what the bundle really contains.
+
+    links, when given, maps a recorded (sha256, size_bytes) to the first
+    bundle copy with that content that has been copied and verified; the
+    caller owns it and passes the same dict to every bundle of one run. A
+    record whose content is already there is hard-linked to that copy
+    instead of copied, never to its source, so a later edit of the user's
+    file cannot reach a bundle; the shared inode loses its write bits. When
+    the filesystem refuses the link, the file is copied as usual. Linked or
+    copied, every destination is hashed and checked the same way.
     """
     bundle_dir = Path(bundle_dir)
     if not bundle_dir.is_dir():
@@ -75,6 +110,7 @@ def write_bundle(
 
     report = BundleReport(bundle_dir=bundle_dir)
     downgraded = False
+    made_dirs: set[Path] = set()
     for record in segment.records:
         if not record.copied:
             continue
@@ -88,14 +124,21 @@ def write_bundle(
             record.skip_reason = "vanished"
             downgraded = True
             continue
-        destination.parent.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(source, destination)
+        if destination.parent not in made_dirs:
+            destination.parent.mkdir(parents=True, exist_ok=True)
+            made_dirs.add(destination.parent)
+        content = (record.sha256, record.size_bytes)
+        shared = None if links is None or record.sha256 is None else links.get(content)
+        if shared is None or not _link_shared(shared, destination):
+            shutil.copyfile(source, destination)
         digest = sha256_file(destination)
         if record.sha256 is not None and digest != record.sha256:
             raise BundleError(
                 f"digest mismatch after copying {source} to {destination}; "
                 "the file changed during packaging"
             )
+        if links is not None and record.sha256 is not None:
+            links.setdefault(content, destination)
         report.bytes_copied += destination.stat().st_size
         report.files_written.append(record.bundle_relative_path)
 

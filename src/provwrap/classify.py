@@ -12,7 +12,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from .monitor import (
     ControlDirective,
@@ -135,6 +135,22 @@ def _resolve_directive_path(raw: str, cwd: Path) -> Path:
     return p.resolve()
 
 
+def inside_roots(roots: Iterable[Path]) -> Callable[[Path], bool]:
+    """Return a test: is a resolved path one of roots, or below one of them?
+
+    A string-prefix test on the resolved paths, equivalent to
+    `path == root or root in path.parents` for every root.
+    """
+    exact = {str(root) for root in roots}
+    prefixes = tuple(text.rstrip("/") + "/" for text in exact)
+
+    def test(path: Path) -> bool:
+        text = str(path)
+        return text in exact or text.startswith(prefixes)
+
+    return test
+
+
 def _relative_to_cwd(path: Path, cwd: Path) -> str | None:
     try:
         return path.relative_to(cwd).as_posix()
@@ -221,7 +237,7 @@ def _classify_group(
     cwd: Path,
     entry_script: Path | None,
     exclude_patterns: tuple[str, ...],
-    watched_roots: Sequence[Path],
+    in_watched: Callable[[Path], bool],
     snapshots: Sequence[Snapshot],
     errors: list[str],
 ) -> list[ArtifactRecord]:
@@ -252,10 +268,7 @@ def _classify_group(
             if item.kind is DirectiveKind.UNTRACK:
                 state_for(path).untracked = True
                 continue
-            in_watched = any(
-                path == root or root in path.parents for root in watched_roots
-            )
-            if not in_watched and not path.exists():
+            if not in_watched(path) and not path.exists():
                 errors.append(
                     f"directive path outside watched roots does not exist: {item.path!r}"
                 )
@@ -285,6 +298,11 @@ def _classify_group(
     records: list[ArtifactRecord] = []
 
     def emit(path: Path, st: _PathState) -> None:
+        try:
+            str(path).encode("utf-8")
+        except UnicodeEncodeError:
+            errors.append(f"path is not valid UTF-8 and was not recorded: {str(path)!r}")
+            return
         rel = _relative_to_cwd(path, cwd)
         is_entry = entry_script is not None and path == entry_script
         is_environment = rel == "requirements.txt"
@@ -353,7 +371,10 @@ def classify(
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
-    every other record is hashed now.
+    every other record is hashed now. A path that cannot be encoded as
+    UTF-8 (a file name with undecodable bytes) gives no record: the
+    provenance formats are UTF-8 text, so its segment gets an error naming
+    the path instead.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
@@ -365,7 +386,7 @@ def classify(
     exclude_patterns = tuple(config.excludes) + (
         f"{config.provenance_directory}_*",
     )
-    watched_roots = [cwd] + [Path(w).resolve() for w in config.watch_dirs]
+    in_watched = inside_roots([cwd, *(Path(w).resolve() for w in config.watch_dirs)])
 
     timeline: list[tuple[int, int, int, ControlDirective | FileEvent]] = sorted(
         [(d.seq, 0, i, d) for i, d in enumerate(directives)]
@@ -398,7 +419,7 @@ def classify(
         taken_names.add(name)
         errors: list[str] = []
         records = _classify_group(
-            group, config, cwd, entry_script, exclude_patterns, watched_roots,
+            group, config, cwd, entry_script, exclude_patterns, in_watched,
             snapshots, errors,
         )
         segments.append(RunSegment(name=name, records=records, errors=errors))

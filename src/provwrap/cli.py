@@ -20,7 +20,7 @@ import tempfile
 from pathlib import Path
 
 from .bundle import allocate_run_dir, write_bundle
-from .classify import Backend, DEFAULT_EXCLUDES, RunConfig, classify
+from .classify import Backend, DEFAULT_EXCLUDES, RunConfig, classify, inside_roots
 from .monitor import (
     ControlDirective,
     DirectiveKind,
@@ -296,7 +296,11 @@ def run(argv: list[str]) -> int:
 
         before: dict[Path, Snapshot] = {}
         if backend is Backend.DIFF:
-            before = {root: take_snapshot(root, snapshot_excludes) for root in watch_roots}
+            stamp_prefix = f"{config.provenance_directory}_stamp-"
+            before = {
+                root: take_snapshot(root, snapshot_excludes, stamp_prefix=stamp_prefix)
+                for root in watch_roots
+            }
 
         spawn_argv = None
         if backend is Backend.TRACE:
@@ -322,14 +326,11 @@ def run(argv: list[str]) -> int:
                     events = parse_trace_stream(handle, cwd=cwd)
                 # Auto-detection stays inside the watched roots; everything
                 # else enters provenance via the control channel only.
+                watched = inside_roots(watch_roots)
                 events = [
                     event
                     for event in events
-                    if event.path == control_path
-                    or any(
-                        event.path == root or root in event.path.parents
-                        for root in watch_roots
-                    )
+                    if event.path == control_path or watched(event.path)
                 ]
                 events = [
                     dataclasses.replace(event, seq=index)
@@ -361,11 +362,14 @@ def run(argv: list[str]) -> int:
                 snapshots=after_snapshots,
             )
 
+            links: dict[tuple[str, int], Path] = {}  # this run's verified copies
             for segment in segments:
                 bundle_dir = allocate_run_dir(config.provenance_directory, cwd)
                 segment_config = dataclasses.replace(config, run_name=segment.name)
                 doc = build_document(segment.records, meta, segment_config)
-                report = write_bundle(segment, doc, meta, segment_config, bundle_dir)
+                report = write_bundle(
+                    segment, doc, meta, segment_config, bundle_dir, links=links
+                )
                 for message in (*segment.errors, *report.warnings):
                     log.warning("%s", message)
                 if config.verbose:

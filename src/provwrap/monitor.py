@@ -14,6 +14,7 @@ import hashlib
 import logging
 import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -88,9 +89,10 @@ class FileEvent:
 
 RACY_MARGIN_NS = 2_000_000_000
 """How much older than the previous snapshot's start a file's ctime must be
-before that snapshot's digest is reused. A change within one timestamp tick
-of the earlier stat can leave size, mtime and ctime all equal; git's
-"racily clean" rule, with room for filesystems with coarse timestamps."""
+before that snapshot's digest is reused, when the snapshot has no stamp. A
+change within one timestamp tick of the earlier stat can leave size, mtime
+and ctime all equal; git's "racily clean" rule, with room for filesystems
+with coarse timestamps."""
 
 
 @dataclass(frozen=True)
@@ -98,27 +100,56 @@ class Snapshot:
     """Recursive listing of regular files under root.
 
     entries maps each relative path to (size, mtime, sha256). stat_keys maps
-    it to (st_ctime_ns, st_ino) as stat'ed before hashing, and started_ns is
-    the wall-clock time the walk began; these two only decide whether a
-    later snapshot of the same root may reuse a digest.
+    it to (st_ctime_ns, st_ino) as stat'ed before hashing. started_ns is the
+    wall-clock time the walk began, and stamp_ns the ctime of a stamp file
+    created in root just before the walk (None when there was none). The
+    last three only decide whether a later snapshot of the same root may
+    reuse a digest.
     """
 
     root: Path
     entries: dict[str, tuple[int, float, str]]
     stat_keys: dict[str, tuple[int, int]] = field(default_factory=dict)
     started_ns: int = 0
+    stamp_ns: int | None = None
+
+
+def _stamp_ctime_ns(root: Path, prefix: str) -> int | None:
+    """ctime of a file created in root and removed at once; None if root is not writable."""
+    try:
+        fd, name = tempfile.mkstemp(prefix=prefix, dir=root)
+    except OSError as exc:
+        log.debug("no ctime stamp in %s, using the wall-clock margin: %s", root, exc)
+        return None
+    try:
+        return os.fstat(fd).st_ctime_ns
+    finally:
+        os.close(fd)
+        os.unlink(name)
 
 
 def take_snapshot(
-    root: Path, excludes: Sequence[str] = (), previous: Snapshot | None = None
+    root: Path,
+    excludes: Sequence[str] = (),
+    previous: Snapshot | None = None,
+    stamp_prefix: str | None = None,
 ) -> Snapshot:
     """Hash every regular file under root, skipping exclusion matches.
 
     Given previous, an earlier snapshot of the same root, a file keeps its
     previous digest without being read again when its size, mtime and
-    (st_ctime_ns, st_ino) are all unchanged and its ctime is at least
-    RACY_MARGIN_NS older than previous.started_ns; every other file is
-    hashed. Unreadable files are skipped with a warning; they never abort
+    (st_ctime_ns, st_ino) are all unchanged and its ctime is either strictly
+    older than previous.stamp_ns or at least RACY_MARGIN_NS older than
+    previous.started_ns; every other file is hashed. The stamp compares two
+    times of the same filesystem clock, so a file written just before the
+    earlier snapshot is reusable as soon as its ctime tick has passed; a
+    change in the stamp's own tick is never reused.
+
+    With stamp_prefix, the stamp is a file named stamp_prefix + a random
+    suffix, created in root before the walk and unlinked at once; pick a
+    prefix the excludes match, so a concurrent walk skips it. When root is
+    not writable the snapshot has no stamp and only the wall-clock margin
+    applies. Unreadable files are skipped with a warning; they never abort
     the snapshot. Symlinked directories are not followed.
     """
     root = Path(root).resolve()
@@ -129,7 +160,10 @@ def take_snapshot(
     elif previous.root != root:
         raise ValueError(f"snapshot roots differ: {previous.root} vs {root}")
     started_ns = time_ns()
-    reuse_before = previous.started_ns - RACY_MARGIN_NS
+    stamp_ns = None if stamp_prefix is None else _stamp_ctime_ns(root, stamp_prefix)
+    reuse_below = previous.started_ns - RACY_MARGIN_NS + 1
+    if previous.stamp_ns is not None:
+        reuse_below = max(reuse_below, previous.stamp_ns)
     entries: dict[str, tuple[int, float, str]] = {}
     stat_keys: dict[str, tuple[int, int]] = {}
     for dirpath, dirnames, filenames in os.walk(root):
@@ -157,7 +191,7 @@ def take_snapshot(
             key = previous.stat_keys.get(rel)
             if (
                 key == (st.st_ctime_ns, st.st_ino)
-                and st.st_ctime_ns <= reuse_before
+                and st.st_ctime_ns < reuse_below
                 and previous.entries[rel][:2] == (st.st_size, st.st_mtime)
             ):
                 # share the previous objects: an unchanged file costs no memory
@@ -171,7 +205,13 @@ def take_snapshot(
                 continue
             entries[rel] = (st.st_size, st.st_mtime, digest)
             stat_keys[rel] = (st.st_ctime_ns, st.st_ino)
-    return Snapshot(root=root, entries=entries, stat_keys=stat_keys, started_ns=started_ns)
+    return Snapshot(
+        root=root,
+        entries=entries,
+        stat_keys=stat_keys,
+        started_ns=started_ns,
+        stamp_ns=stamp_ns,
+    )
 
 
 def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
@@ -224,6 +264,8 @@ _RESUMED = re.compile(r"^<\.\.\.\s+(\w+)\s+resumed>\s*(.*)$")
 _RETURN = re.compile(r"\)\s*=\s*(-?\d+)(?:\s+(.*))?$")
 _FLAGS_AFTER_PATH = re.compile(r"^\s*,\s*([A-Za-z0-9_|]+)")
 _UNFINISHED_SUFFIX = "<unfinished ...>"
+# A backslash always takes the next character with it, so \" never closes.
+_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
 
 
 class _Malformed(Exception):
@@ -236,14 +278,15 @@ def _unescape_path(raw: str, lineno: int) -> str:
     Handles \\" \\\\ \\n \\t and 3-digit octal byte escapes; anything else
     passes through verbatim with a warning. Octal escapes are raw bytes, so
     the result is assembled as bytes and decoded as UTF-8 with surrogate
-    escapes to stay lossless.
+    escapes to stay lossless; raw undecodable bytes already carried as
+    surrogate escapes in raw round-trip the same way.
     """
     out = bytearray()
     i = 0
     while i < len(raw):
         ch = raw[i]
         if ch != "\\":
-            out.extend(ch.encode("utf-8"))
+            out.extend(ch.encode("utf-8", errors="surrogateescape"))
             i += 1
             continue
         if i + 1 >= len(raw):
@@ -269,11 +312,11 @@ def _unescape_path(raw: str, lineno: int) -> str:
                 i += 4
             else:
                 log.warning("trace line %d: unknown escape \\%s kept verbatim", lineno, octal)
-                out.extend(("\\" + octal).encode("utf-8"))
+                out.extend(("\\" + octal).encode("utf-8", errors="surrogateescape"))
                 i += 4
         else:
             log.warning("trace line %d: unknown escape \\%s kept verbatim", lineno, nxt)
-            out.extend(("\\" + nxt).encode("utf-8"))
+            out.extend(("\\" + nxt).encode("utf-8", errors="surrogateescape"))
             i += 2
     return bytes(out).decode("utf-8", errors="surrogateescape")
 
@@ -283,31 +326,25 @@ def _take_quoted(text: str) -> tuple[str, int] | None:
     start = text.find('"')
     if start < 0:
         return None
-    i = start + 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            return text[start + 1 : i], i + 1
-        i += 1
-    return None
+    quoted = _QUOTED.match(text, start)
+    if quoted is None:
+        return None
+    return quoted.group(1), quoted.end()
 
 
-def _parse_open_call(call: str, syscall: str, lineno: int) -> tuple[str, bool]:
-    """Extract (raw path, write intent) from a completed open-family call."""
+def _parse_open_call(call: str, syscall: str) -> tuple[str, bool]:
+    """Extract (raw, still escaped path, write intent) from a completed open-family call."""
     quoted = _take_quoted(call)
     if quoted is None:
         raise _Malformed(f"{syscall} call without a quoted path")
     raw_path, end = quoted
-    path = _unescape_path(raw_path, lineno)
     if syscall == "creat":
-        return path, True  # creat is open with O_CREAT|O_WRONLY|O_TRUNC
+        return raw_path, True  # creat is open with O_CREAT|O_WRONLY|O_TRUNC
     flags_match = _FLAGS_AFTER_PATH.match(call[end:])
     if flags_match is None:
         raise _Malformed(f"{syscall} call without flags after the path")
     flags = set(flags_match.group(1).split("|"))
-    return path, bool(flags & _WRITE_FLAGS)
+    return raw_path, bool(flags & _WRITE_FLAGS)
 
 
 def parse_trace_stream(
@@ -323,11 +360,19 @@ def parse_trace_stream(
     syscall) before parsing, so the event is ordered at the resume point.
     In lenient mode (default) malformed open lines and unpaired resumed
     lines are skipped with a warning; in strict mode they raise
-    TraceParseError naming the line number. When cwd is given, relative
-    paths are resolved against it.
+    TraceParseError naming the line number. When cwd is given, every path
+    is joined to it (absolute paths stay as they are) and resolved with
+    Path.resolve(), symlinked leaves included.
+
+    Each distinct quoted path text is unescaped and resolved once per call
+    and its Path shared by all its events, so the filesystem is consulted
+    per distinct path, not per event; an unknown escape is warned about
+    once. A transcript is parsed after its run, so resolving a path once
+    gives each of its events the answer it would get on its own.
     """
     events: list[FileEvent] = []
     pending: dict[tuple[int | None, str], str] = {}
+    resolved: dict[str, Path] = {}
 
     def problem(lineno: int, message: str) -> None:
         if strict:
@@ -342,13 +387,16 @@ def parse_trace_stream(
         if int(returned.group(1)) < 0:
             return  # failed call
         try:
-            path_text, write_intent = _parse_open_call(call, syscall, lineno)
+            raw_path, write_intent = _parse_open_call(call, syscall)
         except _Malformed as exc:
             problem(lineno, str(exc))
             return
-        path = Path(path_text)
-        if cwd is not None:
-            path = (cwd / path).resolve() if not path.is_absolute() else path.resolve()
+        path = resolved.get(raw_path)
+        if path is None:
+            path = Path(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
+            if cwd is not None:
+                path = (cwd / path).resolve()
+            resolved[raw_path] = path
         events.append(
             FileEvent(
                 path=path,

@@ -3,8 +3,11 @@
 import dataclasses
 import hashlib
 import random
+from pathlib import PurePosixPath
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from provwrap import (
     ArtifactRecord,
@@ -22,6 +25,8 @@ from provwrap import (
     to_prov_json,
     validate,
 )
+
+from provwrap.classify import inside_roots
 
 from conftest import make_meta, make_record
 
@@ -526,3 +531,27 @@ class TestRunConfigInvariants:
         assert config.save_input_files_subset is False
         assert config.skip_files_larger_than == 50
         assert config.verbose is False
+
+
+_COMPONENTS = st.sampled_from(["a", "ab", "b", "a.b", "work", "work2"])
+
+
+@given(
+    path=st.lists(_COMPONENTS, max_size=4),
+    roots=st.lists(st.lists(_COMPONENTS, max_size=3), min_size=1, max_size=3),
+)
+def test_inside_roots_agrees_with_path_parents(path, roots):
+    resolved = PurePosixPath("/", *path)
+    root_paths = [PurePosixPath("/", *root) for root in roots]
+    expected = any(
+        resolved == root or root in resolved.parents for root in root_paths
+    )
+    assert inside_roots(root_paths)(resolved) is expected
+
+
+def test_inside_roots_rejects_a_sibling_sharing_the_prefix():
+    inside = inside_roots([PurePosixPath("/data/work")])
+    assert inside(PurePosixPath("/data/work"))
+    assert inside(PurePosixPath("/data/work/x.csv"))
+    assert not inside(PurePosixPath("/data/work2/x.csv"))
+    assert not inside(PurePosixPath("/data"))

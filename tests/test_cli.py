@@ -1,9 +1,11 @@
 """Wrapper CLI: flag mapping, timeline unification, end-to-end pipeline."""
 
+import errno
 import importlib
 import json
 import os
 import shutil
+import stat
 import sys
 import textwrap
 import time
@@ -357,3 +359,219 @@ class TestHashOncePerState:
             + calls["bundle"][bundle / "inputs/data/input.csv"]
             == 2
         )
+
+    def test_file_written_just_before_the_run_is_hashed_once(self, tmp_path, monkeypatch):
+        # Real timestamps, no pushed clock: the before-snapshot's stamp, not
+        # the 2 s wall-clock margin, lets the after-snapshot reuse the digest.
+        workdir = (tmp_path / "work").resolve()
+        workdir.mkdir()
+        (workdir / "main.py").write_text("pass\n")
+        fresh = workdir / "fresh.bin"
+        fresh.write_bytes(b"just written\n")
+        written = os.stat(fresh).st_ctime_ns
+        probe = tmp_path / "probe"
+        deadline = time.monotonic() + 5
+        while True:
+            probe.write_bytes(b"")
+            if os.stat(probe).st_ctime_ns > written:
+                break
+            assert time.monotonic() < deadline, "the filesystem clock never moved"
+        monkeypatch.chdir(workdir)
+        monitor = importlib.import_module("provwrap.monitor")
+        real_hash = monitor.sha256_file
+        hashed = Counter()
+
+        def counting(path):
+            hashed[Path(path)] += 1
+            return real_hash(path)
+
+        monkeypatch.setattr(monitor, "sha256_file", counting)
+        assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+        assert hashed[fresh] == 1
+        assert hashed[workdir / "main.py"] == 1
+
+
+_UNDECODABLE_CHILD = (
+    "import os\n"
+    "for name in (os.fsdecode(b'out\\xff.csv'), 'good.csv'):\n"
+    "    with open(name, 'w') as fh:\n"
+    "        fh.write('x\\n')\n"
+)
+
+_FAKE_STRACE = """\
+import subprocess, sys
+args = sys.argv[1:]
+out = args.index("-o")
+status = subprocess.call(args[out + 2:])
+with open(args[out + 1], "wb") as fh:
+    fh.write(b'9 openat(AT_FDCWD, "main.py", O_RDONLY|O_CLOEXEC) = 3\\n')
+    fh.write(b'9 openat(AT_FDCWD, "out\\xff.csv", O_WRONLY|O_CREAT|O_TRUNC, 0666) = 3\\n')
+    fh.write(b'9 openat(AT_FDCWD, "good.csv", O_WRONLY|O_CREAT|O_TRUNC, 0666) = 3\\n')
+sys.exit(status)
+"""
+
+
+class TestUndecodableFileName:
+    @pytest.mark.parametrize("backend", ["diff", "trace"])
+    def test_one_undecodable_name_loses_only_its_record(
+        self, tmp_path, monkeypatch, caplog, backend
+    ):
+        workdir = (tmp_path / "work").resolve()
+        workdir.mkdir()
+        (workdir / "main.py").write_text(_UNDECODABLE_CHILD)
+        if backend == "trace":
+            bin_dir = tmp_path / "bin"
+            bin_dir.mkdir()
+            strace = bin_dir / "strace"
+            strace.write_text(f"#!{sys.executable}\n{_FAKE_STRACE}")
+            strace.chmod(0o755)
+            monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.chdir(workdir)
+        with caplog.at_level("WARNING"):
+            status = run(["--backend", backend, "--", sys.executable, "main.py"])
+        assert status == 0
+        bundle = workdir / "prov_0"
+        assert (bundle / "outputs" / "good.csv").read_text() == "x\n"
+        assert (bundle / "src" / "main.py").is_file()
+        payload = json.loads((bundle / "provenance.json").read_bytes())
+        assert sorted(payload["entity"]) == [
+            "yProv4DA:outputs/good.csv",
+            "yProv4DA:src/main.py",
+        ]
+        bad = repr(str(workdir / os.fsdecode(b"out\xff.csv")))
+        assert any(bad in r.getMessage() for r in caplog.records)
+
+
+_SEGMENTED_CHILD = textwrap.dedent(
+    """\
+    import os
+
+    control = os.environ["YPROV_CONTROL"]
+    for k in range(3):
+        with open(f"out{k}.txt", "w") as fh:
+            fh.write(f"chart {k}\\n")
+        with open(control, "a") as fh:
+            fh.write("INPUT\\tdata/in.csv\\nINPUT\\tdata/same.csv\\n")
+            fh.write(f"OUTPUT\\tout{k}.txt\\n")
+            if k < 2:
+                fh.write("END_RUN\\n")
+    """
+)
+
+
+def _segmented_project(workdir):
+    (workdir / "data").mkdir(parents=True)
+    (workdir / "data" / "in.csv").write_text("x,y\n1,2\n")
+    (workdir / "data" / "same.csv").write_text("x,y\n1,2\n")
+    (workdir / "main.py").write_text(_SEGMENTED_CHILD)
+
+
+def _copied_files(workdir):
+    return sorted(
+        path
+        for bundle in sorted(workdir.glob("prov_*"))
+        for path in bundle.rglob("*")
+        if path.is_file() and path.parent != bundle
+    )
+
+
+def _normalized_provenance(bundle, workdir):
+    payload = json.loads((bundle / "provenance.json").read_bytes())
+    for attrs in payload["entity"].values():
+        attrs["yprov:original_path"] = attrs["yprov:original_path"].replace(
+            str(workdir), "<CWD>"
+        )
+    for attrs in payload["activity"].values():
+        for key in ("prov:startTime", "prov:endTime"):
+            attrs[key] = "<TIMESTAMP>"
+    return payload
+
+
+class TestLinkRepeatedContent:
+    """Three END_RUN segments each copy data/in.csv, its twin data/same.csv,
+    main.py and their own output: 12 copies of 5 distinct contents."""
+
+    def _run(self, workdir, monkeypatch):
+        """Run the child in workdir; return the files write_bundle copied."""
+        bundle_module = importlib.import_module("provwrap.bundle")
+        real_copy = shutil.copyfile
+        created = []
+
+        def counting(source, destination):
+            created.append(destination)
+            return real_copy(source, destination)
+
+        monkeypatch.setattr(bundle_module.shutil, "copyfile", counting)
+        monkeypatch.chdir(workdir)
+        try:
+            assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+        finally:
+            monkeypatch.setattr(bundle_module.shutil, "copyfile", real_copy)
+        return created
+
+    def test_repeated_content_is_one_read_only_inode(self, tmp_path, monkeypatch):
+        workdir = (tmp_path / "work").resolve()
+        _segmented_project(workdir)
+        created = self._run(workdir, monkeypatch)
+
+        files = _copied_files(workdir)
+        assert len(files) == 12
+        assert len(created) == len({os.stat(p).st_ino for p in files}) == 5
+        csvs = [
+            workdir / f"prov_{k}" / "inputs" / "data" / name
+            for k in range(3)
+            for name in ("in.csv", "same.csv")
+        ]
+        scripts = [workdir / f"prov_{k}" / "src" / "main.py" for k in range(3)]
+        for shared in (csvs, scripts):
+            assert len({os.stat(p).st_ino for p in shared}) == 1
+            assert os.stat(shared[0]).st_nlink == len(shared)
+            assert stat.S_IMODE(os.stat(shared[0]).st_mode) & 0o222 == 0
+        outputs = [workdir / f"prov_{k}" / "outputs" / f"out{k}.txt" for k in range(3)]
+        assert all(os.stat(p).st_mode & 0o200 for p in outputs)
+        # never linked to the source
+        assert os.stat(workdir / "data" / "in.csv").st_nlink == 1
+        assert os.stat(workdir / "data" / "in.csv").st_mode & 0o200
+
+    def test_refused_link_falls_back_to_identical_copies(self, tmp_path, monkeypatch):
+        linked = (tmp_path / "linked").resolve()
+        copied = (tmp_path / "copied").resolve()
+        for workdir in (linked, copied):
+            _segmented_project(workdir)
+        self._run(linked, monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(os, "link", refuse)
+        created = self._run(copied, monkeypatch)
+        monkeypatch.undo()
+
+        assert len(created) == 12
+        assert len({os.stat(p).st_ino for p in _copied_files(copied)}) == 12
+        for k in range(3):
+            a, b = linked / f"prov_{k}", copied / f"prov_{k}"
+            assert _normalized_provenance(a, linked) == _normalized_provenance(b, copied)
+            files = [p.relative_to(a) for p in a.rglob("*") if p.is_file()]
+            assert files == [p.relative_to(b) for p in b.rglob("*") if p.is_file()]
+            for rel in files:
+                if rel.parent != Path("."):  # copied artifacts
+                    assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+            crates = [
+                json.loads((bundle / "ro-crate-metadata.json").read_bytes())
+                for bundle in (a, b)
+            ]
+            for crate in crates:
+                for node in crate["@graph"]:
+                    node.pop("datePublished", None)
+            assert crates[0] == crates[1]
+
+    def test_a_second_run_starts_with_an_empty_table(self, tmp_path, monkeypatch):
+        workdir = (tmp_path / "work").resolve()
+        _segmented_project(workdir)
+        for _ in range(2):
+            created = self._run(workdir, monkeypatch)
+            assert len(created) == 5
+            assert len(_copied_files(workdir)) == 12
+            for bundle in workdir.glob("prov_*"):
+                shutil.rmtree(bundle)

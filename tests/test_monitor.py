@@ -1,5 +1,6 @@
 """Snapshot, diff and control-channel tests."""
 
+import dataclasses
 import fnmatch
 import hashlib
 import importlib
@@ -197,6 +198,64 @@ class TestSnapshotDigestReuse:
         assert [(e.path.name, e.kind) for e in diff_snapshots(before, after)] == [
             ("data.bin", EventKind.MODIFIED)
         ]
+
+    def test_change_in_the_stamp_tick_is_rehashed(self, tmp_path):
+        target = tmp_path / "data.bin"
+        target.write_bytes(b"old!")
+        written = os.stat(target)
+        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
+        assert before.stamp_ns is not None
+        target.write_bytes(b"new!")
+        os.utime(target, ns=(written.st_atime_ns, written.st_mtime_ns))
+        # Model a same-size rewrite that a coarse clock puts in the stamp's
+        # own tick: the stat key is unchanged and equals the stamp's ctime.
+        now = os.stat(target)
+        before.stat_keys["data.bin"] = (now.st_ctime_ns, now.st_ino)
+        tied = dataclasses.replace(before, stamp_ns=now.st_ctime_ns)
+
+        after = take_snapshot(tmp_path, previous=tied)
+        assert after.entries["data.bin"][2] == hashlib.sha256(b"new!").hexdigest()
+        # one tick later the same stat key would be trusted: the tie is what
+        # tells the two cases apart
+        trusted = dataclasses.replace(before, stamp_ns=now.st_ctime_ns + 1)
+        reused = take_snapshot(tmp_path, previous=trusted)
+        assert reused.entries["data.bin"] is before.entries["data.bin"]
+
+    def test_stamp_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        (tmp_path / "a.txt").write_text("a")
+        made = []
+        real_mkstemp = tempfile.mkstemp
+
+        def recording(*args, **kwargs):
+            fd, name = real_mkstemp(*args, **kwargs)
+            made.append(name)
+            return fd, name
+
+        monkeypatch.setattr(monitor.tempfile, "mkstemp", recording)
+        snap = take_snapshot(tmp_path, ["prov_*"], stamp_prefix="prov_stamp-")
+        assert [Path(name).parent for name in made] == [tmp_path.resolve()]
+        assert matches_exclusion(Path(made[0]).name, ["prov_*"])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+        assert set(snap.entries) == {"a.txt"}
+
+    def test_unwritable_root_falls_back_to_the_wall_clock_margin(
+        self, tmp_path, monkeypatch
+    ):
+        (tmp_path / "a.txt").write_text("a")
+
+        def refuse(*args, **kwargs):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(monitor.tempfile, "mkstemp", refuse)
+        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
+        assert before.stamp_ns is None
+        assert take_snapshot(tmp_path, previous=before).entries["a.txt"] is not (
+            before.entries["a.txt"]
+        )
+        _push_clock(monkeypatch)
+        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
+        after = take_snapshot(tmp_path, previous=before)
+        assert after.entries["a.txt"] is before.entries["a.txt"]
 
     def test_previous_snapshot_of_another_root_raises(self, tmp_path):
         (tmp_path / "r1").mkdir()

@@ -1,10 +1,14 @@
 """Trace transcript parser tests against hand-annotated fixtures."""
 
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from provwrap import EventKind, TraceParseError, parse_trace_stream
+from provwrap.monitor import _take_quoted
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -180,3 +184,145 @@ def test_unfinished_without_resume_emits_nothing():
         ['12 openat(AT_FDCWD, "pending.txt", O_RDONLY <unfinished ...>']
     )
     assert events == []
+
+
+def test_undecodable_raw_byte_in_an_escaped_path_keeps_the_parse():
+    # a transcript read with surrogateescape carries a raw 0xff as U+DCFF
+    lines = [
+        'openat(AT_FDCWD, "a\\"b\udcff.csv", O_RDONLY) = 3',
+        'openat(AT_FDCWD, "out\udcff.csv", O_WRONLY|O_CREAT, 0666) = 4',
+        'openat(AT_FDCWD, "fine.csv", O_RDONLY) = 5',
+    ]
+    events = parse_trace_stream(lines, strict=True)
+    assert [str(e.path) for e in events] == [
+        'a"b\udcff.csv',
+        "out\udcff.csv",
+        "fine.csv",
+    ]
+    assert os.fsencode(str(events[0].path)) == b'a"b\xff.csv'
+
+
+def _scan_quoted(text):
+    """The character loop _take_quoted replaced, kept as its oracle."""
+    start = text.find('"')
+    if start < 0:
+        return None
+    i = start + 1
+    while i < len(text):
+        if text[i] == "\\":
+            i += 2
+            continue
+        if text[i] == '"':
+            return text[start + 1 : i], i + 1
+        i += 1
+    return None
+
+
+@given(st.text(alphabet='"\\a,( \n\u00e9', max_size=14))
+def test_take_quoted_agrees_with_the_character_scan(text):
+    assert _take_quoted(text) == _scan_quoted(text)
+
+
+# --- resolving each distinct path once ------------------------------------------
+
+def _build_universe(root: Path) -> tuple[Path, list[str]]:
+    """A working directory with a symlinked directory and a symlinked leaf."""
+    cwd = root / "cwd"
+    (cwd / "sub").mkdir(parents=True)
+    (cwd / "a.txt").write_text("a")
+    (cwd / "sub" / "b.txt").write_text("b")
+    (cwd / "link").symlink_to("sub")
+    (cwd / "leaf.txt").symlink_to("sub/b.txt")
+    (root / "outside.txt").write_text("o")
+    relative = [
+        "a.txt",
+        "./a.txt",
+        "sub/b.txt",
+        "sub/../a.txt",
+        "link/b.txt",
+        "link/../a.txt",
+        "leaf.txt",
+        "../outside.txt",
+        "missing/new.txt",
+        "café.csv",
+        'q"uote.txt',
+        "back\\slash.txt",
+        "tab\tname.txt",
+        os.fsdecode(b"bad\xff.txt"),
+    ]
+    return cwd, relative + [str(cwd / rel) for rel in relative[:8]]
+
+
+def _quote(path: str, octal: list[bool]) -> bytes:
+    """Quote path the way strace prints it, octal-escaping bytes where octal says."""
+    out = bytearray()
+    for index, byte in enumerate(os.fsencode(path)):
+        if byte in (0x22, 0x5C):
+            out += b"\\" + bytes([byte])
+        elif byte < 0x20 or octal[index % len(octal)]:
+            out += f"\\{byte:03o}".encode()
+        else:
+            out.append(byte)
+    return bytes(out)
+
+
+_CALL = st.tuples(
+    st.integers(min_value=0, max_value=21),  # index into the path universe
+    st.sampled_from(["read", "write", "creat", "failed"]),
+    st.lists(st.booleans(), min_size=1, max_size=5),  # octal-escape pattern
+    st.sampled_from([None, 7, 8]),
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(calls=st.lists(_CALL, max_size=30))
+def test_parse_equals_per_event_resolve_oracle(tmp_path_factory, calls):
+    cwd, universe = _build_universe(tmp_path_factory.mktemp("universe"))
+    lines, expected = [], []
+    for index, kind, octal, pid in calls:
+        path = universe[index]
+        quoted = _quote(path, octal)
+        prefix = b"" if pid is None else f"{pid} ".encode()
+        if kind == "creat":
+            call = b'creat("' + quoted + b'", 0644) = 3'
+        else:
+            flags = b"O_WRONLY|O_CREAT|O_TRUNC" if kind == "write" else b"O_RDONLY"
+            result = b"-1 ENOENT (No such file or directory)" if kind == "failed" else b"3"
+            call = b'openat(AT_FDCWD, "' + quoted + b'", ' + flags + b") = " + result
+        lines.append((prefix + call + b"\n").decode("utf-8", "surrogateescape"))
+        if kind != "failed":
+            write = WRITE if kind in ("write", "creat") else READ
+            expected.append((Path(cwd / path).resolve(), write, pid))
+
+    events = parse_trace_stream(lines, strict=True, cwd=cwd)
+    assert [(e.path, e.kind, e.pid) for e in events] == expected
+    assert [e.seq for e in events] == list(range(len(expected)))
+
+
+def test_lstat_calls_bounded_by_distinct_paths(tmp_path, monkeypatch):
+    cwd, universe = _build_universe(tmp_path)
+    distinct = [
+        'openat(AT_FDCWD, "' + _quote(path, [False]).decode("utf-8", "surrogateescape")
+        + '", O_RDONLY) = 3'
+        for path in universe
+    ]
+    real_lstat = os.lstat
+    calls = []
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return real_lstat(path, *args, **kwargs)
+
+    monkeypatch.setattr(os, "lstat", counting)
+    counts = []
+    for repeats in (1, 25):
+        calls.clear()
+        events = parse_trace_stream(distinct * repeats, cwd=cwd)
+        assert len(events) == len(distinct) * repeats
+        counts.append(len(calls))
+    assert counts[0] > 0
+    assert counts[1] == counts[0]
