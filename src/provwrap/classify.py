@@ -128,11 +128,31 @@ class _PathState:
     untracked: bool = False
 
 
-def _resolve_directive_path(raw: str, cwd: Path) -> Path:
-    p = Path(raw)
-    if not p.is_absolute():
-        p = cwd / p
-    return p.resolve()
+def directive_path(directive: ControlDirective, cwd: Path) -> Path | None:
+    """Return the resolved path a directive names, or None if it names none.
+
+    END_RUN names no path, and a path holding TAB or LF is ignored: the
+    control format cannot carry it. A relative path is taken from cwd.
+    """
+    raw = directive.path
+    if directive.kind is DirectiveKind.END_RUN or "\t" in raw or "\n" in raw:
+        return None
+    return (cwd / raw).resolve()
+
+
+def exclusion_patterns(config: RunConfig) -> tuple[str, ...]:
+    """Return the configured exclusions plus `<dir>_*` (bundles, stamps)."""
+    return tuple(config.excludes) + (f"{config.provenance_directory}_*",)
+
+
+def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
+    """Return cwd and each watch directory that exists (taken from cwd), resolved."""
+    roots = [cwd]
+    for extra in config.watch_dirs:
+        extra = (cwd / extra).resolve()
+        if extra.is_dir():
+            roots.append(extra)
+    return roots
 
 
 def inside_roots(roots: Iterable[Path]) -> Callable[[Path], bool]:
@@ -236,11 +256,12 @@ def _classify_group(
     config: RunConfig,
     cwd: Path,
     entry_script: Path | None,
-    exclude_patterns: tuple[str, ...],
+    excluded: Callable[[Path], bool],
     in_watched: Callable[[Path], bool],
     snapshots: Sequence[Snapshot],
     errors: list[str],
-) -> list[ArtifactRecord]:
+) -> tuple[list[ArtifactRecord], set[Path]]:
+    """Classify one segment; return its records and the paths it untracks."""
     states: dict[Path, _PathState] = {}
     order: list[Path] = []
 
@@ -250,19 +271,14 @@ def _classify_group(
             order.append(path)
         return states[path]
 
-    def excluded(path: Path) -> bool:
-        rel = _relative_to_cwd(path, cwd)
-        target = rel if rel is not None else str(path)
-        return matches_exclusion(target, exclude_patterns)
-
     for item in items:
         if isinstance(item, ControlDirective):
-            if "\t" in item.path or "\n" in item.path:
+            path = directive_path(item, cwd)
+            if path is None:  # END_RUN never reaches a segment
                 errors.append(
                     f"directive path contains TAB/LF and was ignored: {item.path!r}"
                 )
                 continue
-            path = _resolve_directive_path(item.path, cwd)
             if excluded(path):
                 continue
             if item.kind is DirectiveKind.UNTRACK:
@@ -349,7 +365,7 @@ def _classify_group(
             continue
         emit(path, st or _PathState())
 
-    return records
+    return records, {path for path, st in states.items() if st.untracked}
 
 
 def classify(
@@ -362,12 +378,17 @@ def classify(
 ) -> list[RunSegment]:
     """Partition the merged timeline into segments of classified records.
 
-    Events and directives are merged by seq (directives first on ties) and
-    split at each END_RUN; a trailing implicit segment always exists.
+    Events and directives are merged by seq (directives first on ties, then
+    list order) and split at each END_RUN; a trailing implicit segment
+    always exists. Events need distinct seqs in the order they happened,
+    gaps allowed, as the trace parser numbers them; `cli.unify_timeline`
+    places the directives among them.
     Within a segment, a path both read and created collapses into a single
     Input record flagged also_generated; UNTRACK anywhere in a segment
     removes that path's record entirely, and an UNTRACK in a later segment
-    downgrades earlier copies of the path to metadata-only.
+    downgrades earlier copies of the path to metadata-only. Directive paths
+    follow `directive_path`, and whether a path is excluded is decided once
+    per distinct path per call.
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
@@ -383,10 +404,16 @@ def classify(
     if entry_script is not None:
         entry_script = Path(entry_script).resolve()
 
-    exclude_patterns = tuple(config.excludes) + (
-        f"{config.provenance_directory}_*",
-    )
-    in_watched = inside_roots([cwd, *(Path(w).resolve() for w in config.watch_dirs)])
+    patterns = exclusion_patterns(config)
+    verdicts: dict[Path, bool] = {}  # this call's exclusion answer per path
+
+    def excluded(path: Path) -> bool:
+        if path not in verdicts:
+            rel = _relative_to_cwd(path, cwd)
+            verdicts[path] = matches_exclusion(rel or str(path), patterns)
+        return verdicts[path]
+
+    in_watched = inside_roots(watched_roots(config, cwd))
 
     timeline: list[tuple[int, int, int, ControlDirective | FileEvent]] = sorted(
         [(d.seq, 0, i, d) for i, d in enumerate(directives)]
@@ -418,30 +445,17 @@ def classify(
             name = f"{name}_{index}"
         taken_names.add(name)
         errors: list[str] = []
-        records = _classify_group(
-            group, config, cwd, entry_script, exclude_patterns, in_watched,
-            snapshots, errors,
+        records, untracked = _classify_group(
+            group, config, cwd, entry_script, excluded, in_watched, snapshots, errors
         )
-        segments.append(RunSegment(name=name, records=records, errors=errors))
-
-    # Late UNTRACK: a segment's untracks downgrade matching records that
-    # earlier segments already produced (they stay in provenance but are
-    # not copied).
-    for index, group in enumerate(groups):
-        untracked = {
-            _resolve_directive_path(item.path, cwd)
-            for item in group
-            if isinstance(item, ControlDirective)
-            and item.kind is DirectiveKind.UNTRACK
-            and "\t" not in item.path
-            and "\n" not in item.path
-        }
-        if not untracked:
-            continue
-        for earlier in segments[:index]:
+        # Late UNTRACK: this segment's untracks downgrade matching records
+        # that earlier segments produced (they stay in provenance but are
+        # not copied).
+        for earlier in segments:
             for record in earlier.records:
                 if record.original_path in untracked and record.copied:
                     record.copied = False
                     record.skip_reason = "untracked_late"
+        segments.append(RunSegment(name=name, records=records, errors=errors))
 
     return segments

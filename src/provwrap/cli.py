@@ -20,10 +20,18 @@ import tempfile
 from pathlib import Path
 
 from .bundle import allocate_run_dir, write_bundle
-from .classify import Backend, DEFAULT_EXCLUDES, RunConfig, classify, inside_roots
+from .classify import (
+    Backend,
+    DEFAULT_EXCLUDES,
+    RunConfig,
+    classify,
+    directive_path,
+    exclusion_patterns,
+    inside_roots,
+    watched_roots,
+)
 from .monitor import (
     ControlDirective,
-    DirectiveKind,
     FileEvent,
     Snapshot,
     diff_snapshots,
@@ -169,59 +177,45 @@ def unify_timeline(
 ) -> tuple[list[FileEvent], list[ControlDirective]]:
     """Put events and directives on one shared seq axis.
 
-    Trace events are genuinely ordered, and each control-file write-open in
-    the trace anchors the corresponding directive right after it. Snapshot
-    diffs carry no intra-run ordering, so there each event is anchored to
-    the first directive naming the same path (placing it in that
-    directive's segment) and unmentioned events trail after all directives.
-    Control-file opens never reach classification.
+    Trace events are genuinely ordered: they must carry distinct seqs in
+    trace order (the parser's numbering; gaps left by the root filter are
+    fine), and the ones kept are returned unchanged. Control-file opens are
+    dropped, and the k-th directive takes the seq of the k-th open (later
+    directives the last open's), so no kept event shares its seq; with no
+    open, every directive takes the largest event seq plus one.
+
+    Snapshot diffs carry no intra-run ordering, so directive k takes seq k,
+    and each event the index of the first directive naming its path (per
+    `directive_path`, placing it right after that directive, in its
+    segment); unmentioned events trail after all directives. `classify`
+    sorts directives before events on equal seqs.
     """
     if trace_order:
-        anchors = [
-            event.seq
-            for event in events
-            if control_path is not None and event.path == control_path
+        anchors = [event.seq for event in events if event.path == control_path]
+        kept = [event for event in events if event.path != control_path]
+        tail = max((event.seq for event in events), default=-1) + 1
+        return kept, [
+            dataclasses.replace(
+                directive,
+                seq=anchors[min(index, len(anchors) - 1)] if anchors else tail,
+            )
+            for index, directive in enumerate(directives)
         ]
-        kept = [
-            dataclasses.replace(event, seq=event.seq * 2)
-            for event in events
-            if control_path is None or event.path != control_path
-        ]
-        out_directives = []
-        for index, directive in enumerate(directives):
-            if anchors:
-                anchor = anchors[min(index, len(anchors) - 1)]
-                seq = anchor * 2 + 1
-            else:
-                seq = len(events) * 2 + 1 + index
-            out_directives.append(dataclasses.replace(directive, seq=seq))
-        return kept, out_directives
 
     base = Path.cwd() if cwd is None else Path(cwd)
     mentioned: dict[Path, int] = {}
     for index, directive in enumerate(directives):
-        if directive.kind is DirectiveKind.END_RUN:
-            continue
-        if "\t" in directive.path or "\n" in directive.path:
-            continue
-        path = Path(directive.path)
-        if not path.is_absolute():
-            path = base / path
-        path = path.resolve()
-        mentioned.setdefault(path, index)
+        path = directive_path(directive, base)
+        if path is not None:
+            mentioned.setdefault(path, index)
     out_directives = [
-        dataclasses.replace(directive, seq=index * 2)
+        dataclasses.replace(directive, seq=index)
         for index, directive in enumerate(directives)
     ]
-    out_events = []
-    unanchored = 0
-    for event in events:
-        if event.path in mentioned:
-            seq = mentioned[event.path] * 2 + 1
-        else:
-            seq = len(directives) * 2 + 1 + unanchored
-            unanchored += 1
-        out_events.append(dataclasses.replace(event, seq=seq))
+    out_events = [
+        dataclasses.replace(event, seq=mentioned.get(event.path, len(directives)))
+        for event in events
+    ]
     return out_events, out_directives
 
 
@@ -277,15 +271,11 @@ def run(argv: list[str]) -> int:
     cwd = Path.cwd().resolve()
     backend = select_backend(config)
     entry_script = detect_entry_script(command, cwd, config.source_extensions)
-    snapshot_excludes = tuple(config.excludes) + (
-        f"{config.provenance_directory}_*",
-    )
-    watch_roots = [cwd]
+    snapshot_excludes = exclusion_patterns(config)
+    watch_roots = watched_roots(config, cwd)
     for extra in config.watch_dirs:
-        extra = Path(extra).resolve()
-        if extra.is_dir():
-            watch_roots.append(extra)
-        else:
+        extra = (cwd / extra).resolve()
+        if extra not in watch_roots:
             log.warning("watch directory does not exist, skipping: %s", extra)
 
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
@@ -332,17 +322,12 @@ def run(argv: list[str]) -> int:
                     for event in events
                     if event.path == control_path or watched(event.path)
                 ]
-                events = [
-                    dataclasses.replace(event, seq=index)
-                    for index, event in enumerate(events)
-                ]
             else:
                 events = []
                 for root in watch_roots:
                     after = take_snapshot(root, snapshot_excludes, previous=before[root])
                     after_snapshots.append(after)
-                    for event in diff_snapshots(before[root], after):
-                        events.append(dataclasses.replace(event, seq=len(events)))
+                    events.extend(diff_snapshots(before[root], after))
 
             directives = parse_control_stream(read_control_lines(control_path))
 

@@ -2,7 +2,9 @@
 
 import dataclasses
 import hashlib
+import importlib
 import random
+from collections import Counter
 from pathlib import PurePosixPath
 
 import pytest
@@ -288,17 +290,24 @@ class TestUntrack:
     def test_late_untrack_downgrades_earlier_segment(self, workdir, config):
         f = workdir / "big.bin"
         f.write_bytes(b"b")
+        (workdir / "keep.bin").write_bytes(b"k")
         timeline_directives = [
             _directive(DirectiveKind.OUTPUT, "big.bin", 0),
-            _directive(DirectiveKind.END_RUN, seq=1, run_name="first"),
-            _directive(DirectiveKind.UNTRACK, "big.bin", 2),
+            _directive(DirectiveKind.OUTPUT, "keep.bin", 1),
+            _directive(DirectiveKind.END_RUN, seq=2, run_name="first"),
+            _directive(DirectiveKind.UNTRACK, "keep.bin\t", 3),  # TAB: ignored
+            _directive(DirectiveKind.UNTRACK, "prov_0/keep.bin", 4),  # excluded
+            _directive(DirectiveKind.UNTRACK, "big.bin", 5),
         ]
         segments = classify([], timeline_directives, config, workdir)
         assert len(segments) == 2
-        first = segments[0].records[0]
+        first, kept = segments[0].records
         assert first.copied is False
         assert first.skip_reason == "untracked_late"
+        assert kept.copied is True and kept.skip_reason is None
         assert segments[1].records == []
+        assert segments[0].errors == []
+        assert len(segments[1].errors) == 1 and "TAB/LF" in segments[1].errors[0]
 
 
 class TestSegmentation:
@@ -366,6 +375,45 @@ class TestSegmentation:
         segments = classify([], directives, config, workdir, entry_script=entry)
         for segment in segments:
             assert "src/main.py" in _by_bundle_path(segment.records)
+
+    def test_exclusion_is_decided_once_per_distinct_path(
+        self, workdir, config, monkeypatch
+    ):
+        classify_module = importlib.import_module("provwrap.classify")
+        real = classify_module.matches_exclusion
+        asked = Counter()
+
+        def counting(target, patterns):
+            asked[target] += 1
+            return real(target, patterns)
+
+        monkeypatch.setattr(classify_module, "matches_exclusion", counting)
+        entry = workdir / "main.py"
+        entry.write_text("pass\n")
+        (workdir / "requirements.txt").write_text("numpy\n")
+        data = workdir / "data.csv"
+        data.write_text("1\n")
+        hidden = workdir / "prov_0" / "old.png"
+        events, directives = [], []
+        for k in range(3):  # three segments, each touching every path
+            base = 10 * k
+            events += [
+                _event(data, EventKind.READ_INTENT, base),
+                _event(data, EventKind.READ_INTENT, base + 1),
+                _event(workdir / f"out{k}.png", EventKind.WRITE_INTENT, base + 2),
+                _event(hidden, EventKind.WRITE_INTENT, base + 3),
+            ]
+            directives += [
+                _directive(DirectiveKind.INPUT, "data.csv", base + 4),
+                _directive(DirectiveKind.UNTRACK, "prov_0/old.png", base + 5),
+                _directive(DirectiveKind.END_RUN, seq=base + 6),
+            ]
+        segments = classify(events, directives, config, workdir, entry_script=entry)
+        assert len(segments) == 4
+        assert asked == Counter(
+            ["data.csv", "out0.png", "out1.png", "out2.png", "prov_0/old.png",
+             "main.py", "requirements.txt"]
+        )
 
 
 class TestSizeThreshold:

@@ -1,5 +1,6 @@
 """Wrapper CLI: flag mapping, timeline unification, end-to-end pipeline."""
 
+import dataclasses
 import errno
 import importlib
 import json
@@ -13,6 +14,8 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provwrap import Backend, ControlDirective, DirectiveKind, EventKind, FileEvent
 from provwrap.cli import (
@@ -155,6 +158,125 @@ class TestUnifyTimeline:
         assert seq_of[out] < end_run_seq < seq_of[later]
 
 
+def _reference_unify_timeline(
+    events, directives, control_path, trace_order, cwd=None
+):
+    """The former unify_timeline (2k / 2k+1 seqs), kept as an oracle."""
+    if trace_order:
+        anchors = [
+            event.seq
+            for event in events
+            if control_path is not None and event.path == control_path
+        ]
+        kept = [
+            dataclasses.replace(event, seq=event.seq * 2)
+            for event in events
+            if control_path is None or event.path != control_path
+        ]
+        out_directives = []
+        for index, directive in enumerate(directives):
+            if anchors:
+                anchor = anchors[min(index, len(anchors) - 1)]
+                seq = anchor * 2 + 1
+            else:
+                seq = len(events) * 2 + 1 + index
+            out_directives.append(dataclasses.replace(directive, seq=seq))
+        return kept, out_directives
+
+    base = Path.cwd() if cwd is None else Path(cwd)
+    mentioned: dict[Path, int] = {}
+    for index, directive in enumerate(directives):
+        if directive.kind is DirectiveKind.END_RUN:
+            continue
+        if "\t" in directive.path or "\n" in directive.path:
+            continue
+        path = Path(directive.path)
+        if not path.is_absolute():
+            path = base / path
+        path = path.resolve()
+        mentioned.setdefault(path, index)
+    out_directives = [
+        dataclasses.replace(directive, seq=index * 2)
+        for index, directive in enumerate(directives)
+    ]
+    out_events = []
+    unanchored = 0
+    for event in events:
+        if event.path in mentioned:
+            seq = mentioned[event.path] * 2 + 1
+        else:
+            seq = len(directives) * 2 + 1 + unanchored
+            unanchored += 1
+        out_events.append(dataclasses.replace(event, seq=seq))
+    return out_events, out_directives
+
+
+_ORACLE_CWD = Path("/provwrap-oracle/work")  # never created: resolve() is lexical
+_ORACLE_CONTROL = Path("/provwrap-oracle/scratch/control")
+_ORACLE_NAMES = ["a.csv", "sub/b.png", "./a.csv", "../out.txt", "/elsewhere/c.csv"]
+
+
+@st.composite
+def _timelines(draw):
+    """Trace-ordered events (seq gaps, control opens, repeated paths) and
+    directives (TAB/LF paths, END_RUN, more or fewer than the opens)."""
+    events, seq = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        seq += draw(st.integers(1, 3))  # the root filter leaves gaps
+        if draw(st.integers(0, 4)) == 0:
+            path = _ORACLE_CONTROL
+        else:
+            path = (_ORACLE_CWD / draw(st.sampled_from(_ORACLE_NAMES))).resolve()
+        kind = draw(st.sampled_from(EventKind))
+        events.append(FileEvent(path=path, kind=kind, seq=seq))
+    directives, line = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        line += draw(st.integers(1, 2))  # blank control lines keep their index
+        kind = draw(st.sampled_from(DirectiveKind))
+        if kind is DirectiveKind.END_RUN:
+            directives.append(ControlDirective(kind=kind, run_name="r", seq=line))
+        else:
+            name = draw(st.sampled_from(_ORACLE_NAMES))
+            path = name + draw(st.sampled_from(["", "\t", "\n"]))
+            directives.append(ControlDirective(kind=kind, path=path, seq=line))
+    return events, directives
+
+
+def _merged_order(events, directives):
+    """The item order classify merges into: (seq, kind, index) sorted."""
+    return [
+        (kind, index)
+        for _, kind, index in sorted(
+            [(d.seq, 0, i) for i, d in enumerate(directives)]
+            + [(e.seq, 1, i) for i, e in enumerate(events)]
+        )
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(timeline=_timelines(), trace_order=st.booleans())
+def test_unify_timeline_keeps_the_reference_merge_order(timeline, trace_order):
+    events, directives = timeline
+    # the former pipeline renumbered events 0..n-1 before unifying them
+    renumbered = [dataclasses.replace(e, seq=i) for i, e in enumerate(events)]
+    old_events, old_directives = _reference_unify_timeline(
+        renumbered, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD
+    )
+    new_events, new_directives = unify_timeline(
+        events, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD
+    )
+    strip = lambda items: [dataclasses.replace(item, seq=0) for item in items]
+    assert strip(new_events) == strip(old_events)
+    assert strip(new_directives) == strip(old_directives)
+    assert _merged_order(new_events, new_directives) == _merged_order(
+        old_events, old_directives
+    )
+    if trace_order:  # kept trace events come back as the very same objects
+        kept = [e for e in events if e.path != _ORACLE_CONTROL]
+        assert len(new_events) == len(kept)
+        assert all(new is old for new, old in zip(new_events, kept))
+
+
 @pytest.fixture
 def project(tmp_path, monkeypatch):
     workdir = tmp_path / "work"
@@ -292,6 +414,26 @@ class TestRunEndToEnd:
         entity = payload["entity"]["yProv4DA:inputs/assets/results.csv"]
         assert entity["yprov:logged_by"] == "user"
         assert any("control line 1" in r.getMessage() for r in caplog.records)
+
+
+    def test_missing_watch_directory_is_not_watched(self, project, caplog):
+        nowhere = project.parent / "nowhere"
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            f"    fh.write('INPUT\\t{nowhere / 'x.csv'}\\n')\n"
+        )
+        with caplog.at_level("WARNING"):
+            status = run(
+                ["--backend", "diff", "--watch", str(nowhere), "--",
+                 sys.executable, "-c", child]
+            )
+        assert status == 0
+        payload = json.loads((project / "prov_0" / "provenance.json").read_bytes())
+        assert not [key for key in payload["entity"] if "x.csv" in key]
+        messages = [r.getMessage() for r in caplog.records]
+        assert sum("watch directory does not exist" in m for m in messages) == 1
+        assert sum("outside watched roots does not exist" in m for m in messages) == 1
 
 
 _HASH_CHILD = textwrap.dedent(
