@@ -27,8 +27,10 @@ from .monitor import (
     FileEvent,
     Snapshot,
     diff_snapshots,
+    load_snapshot,
     parse_control_stream,
     parse_trace_stream,
+    save_snapshot,
     take_snapshot,
 )
 from .provmodel import (

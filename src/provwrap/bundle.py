@@ -37,14 +37,15 @@ class BundleReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def allocate_run_dir(base_name: str, parent: Path) -> Path:
-    """Create and return <parent>/<base_name>_<k> for the smallest free k.
+def allocate_run_dir(base_name: str, parent: Path, start: int = 0) -> Path:
+    """Create and return <parent>/<base_name>_<k> for the smallest free k >= start.
 
     Creation is exclusive (mkdir), so concurrent wrapper invocations race
-    safely: a collision just retries with the next k.
+    safely: a collision just retries with the next k. A caller that has
+    just taken prov_j passes j + 1 as start, since every k up to j is taken.
     """
     parent = Path(parent)
-    k = 0
+    k = start
     while True:
         candidate = parent / f"{base_name}_{k}"
         try:

@@ -146,11 +146,15 @@ def exclusion_patterns(config: RunConfig) -> tuple[str, ...]:
 
 
 def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
-    """Return cwd and each watch directory that exists (taken from cwd), resolved."""
+    """Return cwd and each watch directory that exists (taken from cwd), resolved.
+
+    A watch directory at or under a root already listed is left out: that
+    root's snapshot already covers it, so no file is snapshotted twice.
+    """
     roots = [cwd]
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
-        if extra.is_dir():
+        if extra.is_dir() and not inside_roots(roots)(extra):
             roots.append(extra)
     return roots
 
@@ -219,23 +223,10 @@ def _snapshot_entry(
 
 
 def _finish_record(
-    record: ArtifactRecord, config: RunConfig, snapshots: Sequence[Snapshot]
+    record: ArtifactRecord, config: RunConfig, measured: tuple[int | None, str | None]
 ) -> ArtifactRecord:
-    entry = _snapshot_entry(record.original_path, snapshots)
-    if entry is not None:
-        # hashed (or reused) by the after-snapshot; write_bundle checks the
-        # copy against this digest, so a later change is still caught
-        record.size_bytes, _, record.sha256 = entry
-    elif record.original_path.is_file():
-        try:
-            record.size_bytes = record.original_path.stat().st_size
-            record.sha256 = sha256_file(record.original_path)
-        except OSError as exc:
-            log.warning("could not hash %s: %s", record.original_path, exc)
-            record.copied = False
-            record.skip_reason = "vanished"
-            return record
-    else:
+    record.size_bytes, record.sha256 = measured
+    if record.sha256 is None:
         record.copied = False
         record.skip_reason = "vanished"
         return record
@@ -258,7 +249,7 @@ def _classify_group(
     entry_script: Path | None,
     excluded: Callable[[Path], bool],
     in_watched: Callable[[Path], bool],
-    snapshots: Sequence[Snapshot],
+    measure: Callable[[Path], tuple[int | None, str | None]],
     errors: list[str],
 ) -> tuple[list[ArtifactRecord], set[Path]]:
     """Classify one segment; return its records and the paths it untracks."""
@@ -338,7 +329,7 @@ def _classify_group(
             also_generated=also_generated,
             logged_by=LoggedBy.USER if st.user_logged else LoggedBy.AUTO,
         )
-        records.append(_finish_record(record, config, snapshots))
+        records.append(_finish_record(record, config, measure(path)))
 
     for path in order:
         st = states[path]
@@ -392,10 +383,10 @@ def classify(
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
-    every other record is hashed now. A path that cannot be encoded as
-    UTF-8 (a file name with undecodable bytes) gives no record: the
-    provenance formats are UTF-8 text, so its segment gets an error naming
-    the path instead.
+    every other path is hashed now, once per call however many records it
+    has. A path that cannot be encoded as UTF-8 (a file name with
+    undecodable bytes) gives no record: the provenance formats are UTF-8
+    text, so its segment gets an error naming the path instead.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
@@ -414,6 +405,29 @@ def classify(
         return verdicts[path]
 
     in_watched = inside_roots(watched_roots(config, cwd))
+    # this call's (size, sha256) per path; no sha256 when it is gone or unreadable
+    measured: dict[Path, tuple[int | None, str | None]] = {}
+
+    def measure(path: Path) -> tuple[int | None, str | None]:
+        # Every record is measured after the child has exited, so one
+        # answer per path serves all of its records.
+        if path not in measured:
+            entry = _snapshot_entry(path, snapshots)
+            if entry is not None:
+                # hashed (or reused) by the after-snapshot; write_bundle
+                # checks the copy against it, so a later change is caught
+                measured[path] = (entry[0], entry[2])
+            elif not path.is_file():
+                measured[path] = (None, None)
+            else:
+                size = None
+                try:
+                    size = path.stat().st_size
+                    measured[path] = (size, sha256_file(path))
+                except OSError as exc:
+                    log.warning("could not hash %s: %s", path, exc)
+                    measured[path] = (size, None)
+        return measured[path]
 
     timeline: list[tuple[int, int, int, ControlDirective | FileEvent]] = sorted(
         [(d.seq, 0, i, d) for i, d in enumerate(directives)]
@@ -446,7 +460,7 @@ def classify(
         taken_names.add(name)
         errors: list[str] = []
         records, untracked = _classify_group(
-            group, config, cwd, entry_script, excluded, in_watched, snapshots, errors
+            group, config, cwd, entry_script, excluded, in_watched, measure, errors
         )
         # Late UNTRACK: this segment's untracks downgrade matching records
         # that earlier segments produced (they stay in provenance but are

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import hashlib
 import logging
+import os
 import shutil
 import sys
 import tempfile
@@ -35,8 +37,10 @@ from .monitor import (
     FileEvent,
     Snapshot,
     diff_snapshots,
+    load_snapshot,
     parse_control_stream,
     parse_trace_stream,
+    save_snapshot,
     take_snapshot,
 )
 from .provmodel import build_document
@@ -49,6 +53,10 @@ PROVENANCE_EXIT = 3
 SPAWN_EXIT = 127
 
 _STRACE_ARGS = ["-f", "-qq", "-e", "trace=open,openat,creat", "-s", "4096"]
+
+INDEX_FILES_KEPT = 64
+"""How many digest index files the cache directory keeps; the oldest by
+mtime are deleted after each save."""
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -237,6 +245,64 @@ def read_control_lines(path: Path) -> list[str]:
     return lines
 
 
+def index_directory() -> Path | None:
+    """Return the directory of the digest indexes, resolved.
+
+    $XDG_CACHE_HOME/provwrap, or ~/.cache/provwrap when XDG_CACHE_HOME is
+    unset or relative (a relative value is ignored, as the XDG base
+    directory spec asks); None when no home directory is known either.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            return None
+    try:
+        return Path(base, "provwrap").resolve()
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        log.debug("no digest index directory under %s: %s", base, exc)
+        return None
+
+
+def index_file(directory: Path, root: Path) -> Path:
+    """Return the index file of a resolved root: a digest of its path."""
+    return directory / (hashlib.sha256(os.fsencode(root)).hexdigest() + ".index")
+
+
+def save_indexes(directory: Path, snapshots: list[Snapshot]) -> None:
+    """Save each snapshot as its root's index, then keep INDEX_FILES_KEPT files.
+
+    Never raises and never waits: a directory that cannot be created or
+    written only leaves the next run cold, with a debug log.
+    """
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+    except OSError as exc:
+        log.debug("digest index directory %s not usable: %s", directory, exc)
+        return
+    for snapshot in snapshots:
+        try:
+            save_snapshot(snapshot, index_file(directory, snapshot.root))
+        except (OSError, ValueError) as exc:
+            log.debug("digest index of %s not saved: %s", snapshot.root, exc)
+    try:
+        files = []
+        with os.scandir(directory) as listing:
+            for entry in listing:
+                try:
+                    if entry.is_file(follow_symlinks=False):
+                        files.append((entry.stat(follow_symlinks=False).st_mtime_ns, entry.path))
+                except FileNotFoundError:
+                    continue  # removed by a concurrent run
+        for _, path in sorted(files)[:-INDEX_FILES_KEPT]:  # the oldest
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                continue
+    except OSError as exc:
+        log.debug("digest index directory %s not pruned: %s", directory, exc)
+
+
 def run(argv: list[str]) -> int:
     """Execute the full wrapper pipeline; returns the process exit code."""
     if "--" not in argv:
@@ -275,8 +341,11 @@ def run(argv: list[str]) -> int:
     watch_roots = watched_roots(config, cwd)
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
-        if extra not in watch_roots:
+        if not extra.is_dir():
             log.warning("watch directory does not exist, skipping: %s", extra)
+    indexes = index_directory() if backend is Backend.DIFF else None
+    if indexes is not None and inside_roots(watch_roots)(indexes):
+        indexes = None  # provwrap's own files never enter a snapshot
 
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
         # Resolved so trace events (which are resolved) compare equal to it.
@@ -284,11 +353,21 @@ def run(argv: list[str]) -> int:
         control_path.touch()
         trace_path = Path(scratch) / "trace"
 
+        # The before-snapshot starts from the last run's after-snapshot, so
+        # only the files changed since are read; the after-snapshots are
+        # stamped too, so the files the child wrote can be reused next time.
+        stamp_prefix = f"{config.provenance_directory}_stamp-"
         before: dict[Path, Snapshot] = {}
         if backend is Backend.DIFF:
-            stamp_prefix = f"{config.provenance_directory}_stamp-"
             before = {
-                root: take_snapshot(root, snapshot_excludes, stamp_prefix=stamp_prefix)
+                root: take_snapshot(
+                    root,
+                    snapshot_excludes,
+                    previous=None
+                    if indexes is None
+                    else load_snapshot(index_file(indexes, root), root),
+                    stamp_prefix=stamp_prefix,
+                )
                 for root in watch_roots
             }
 
@@ -325,9 +404,13 @@ def run(argv: list[str]) -> int:
             else:
                 events = []
                 for root in watch_roots:
-                    after = take_snapshot(root, snapshot_excludes, previous=before[root])
+                    after = take_snapshot(
+                        root, snapshot_excludes, previous=before[root], stamp_prefix=stamp_prefix
+                    )
                     after_snapshots.append(after)
                     events.extend(diff_snapshots(before[root], after))
+                if indexes is not None:
+                    save_indexes(indexes, after_snapshots)
 
             directives = parse_control_stream(read_control_lines(control_path))
 
@@ -348,8 +431,10 @@ def run(argv: list[str]) -> int:
             )
 
             links: dict[tuple[str, int], Path] = {}  # this run's verified copies
+            next_k = 0  # every prov_k below it is taken
             for segment in segments:
-                bundle_dir = allocate_run_dir(config.provenance_directory, cwd)
+                bundle_dir = allocate_run_dir(config.provenance_directory, cwd, next_k)
+                next_k = int(bundle_dir.name.rsplit("_", 1)[1]) + 1
                 segment_config = dataclasses.replace(config, run_name=segment.name)
                 doc = build_document(segment.records, meta, segment_config)
                 report = write_bundle(

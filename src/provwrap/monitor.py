@@ -11,6 +11,7 @@ from __future__ import annotations
 import fnmatch
 import functools
 import hashlib
+import json
 import logging
 import os
 import re
@@ -20,7 +21,7 @@ from enum import Enum
 from pathlib import Path
 from stat import S_ISREG
 from time import time_ns
-from typing import Iterable, Sequence
+from typing import BinaryIO, Iterable, Sequence
 
 from .errors import ControlParseError, TraceParseError
 
@@ -150,7 +151,9 @@ def take_snapshot(
     prefix the excludes match, so a concurrent walk skips it. When root is
     not writable the snapshot has no stamp and only the wall-clock margin
     applies. Unreadable files are skipped with a warning; they never abort
-    the snapshot. Symlinked directories are not followed.
+    the snapshot. Symlinked directories are not followed. previous may be
+    an earlier run's snapshot, saved with save_snapshot and read back with
+    load_snapshot: the same rule decides every reuse.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -212,6 +215,152 @@ def take_snapshot(
         started_ns=started_ns,
         stamp_ns=stamp_ns,
     )
+
+
+INDEX_FORMAT = "provwrap-snapshot-index"
+INDEX_VERSION = 1
+_INDEX_END = b"end\t"
+_INDEX_HEADER_LIMIT = 1 << 20  # bytes; a real header holds one path
+_REL_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+class _BadIndex(Exception):
+    """A corrupt or truncated index file; the message says which."""
+
+
+def save_snapshot(snapshot: Snapshot, path: Path) -> None:
+    """Write snapshot to path as a digest index that load_snapshot reads back.
+
+    The file is LF-terminated lines of UTF-8 with surrogate escapes, so
+    file names with undecodable bytes keep their bytes:
+
+    - a JSON header: format, version, root, the root's st_dev and st_ino,
+      started_ns and stamp_ns;
+    - one line per entry: size, mtime (its repr), ctime_ns, ino, sha256 and
+      the relative path, TAB-separated; the path comes last, so a TAB in it
+      needs no escape, and a backslash or LF in it is written as \\\\ or \\n;
+    - "end", TAB, and the sha256 of every byte before that line.
+
+    The file is written under a temporary name in path's directory and
+    renamed over path, so a reader sees the old index or the new one, never
+    a mix; no lock is taken. Raises OSError, or UnicodeEncodeError for a
+    path that no file system name decodes to.
+    """
+    path = Path(path)
+    root_stat = os.stat(snapshot.root)
+    header = {
+        "format": INDEX_FORMAT,
+        "version": INDEX_VERSION,
+        "root": str(snapshot.root),
+        "dev": root_stat.st_dev,
+        "ino": root_stat.st_ino,
+        "started_ns": snapshot.started_ns,
+        "stamp_ns": snapshot.stamp_ns,
+    }
+    fd, temp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
+    try:
+        with open(fd, "wb") as handle:
+            digest = hashlib.sha256()
+
+            def put(text: str) -> None:
+                data = text.encode("utf-8", errors="surrogateescape")
+                digest.update(data)
+                handle.write(data)
+
+            put(json.dumps(header) + "\n")
+            for rel, (size, mtime, sha256) in snapshot.entries.items():
+                ctime_ns, ino = snapshot.stat_keys[rel]
+                rel = rel.replace("\\", "\\\\").replace("\n", "\\n")
+                put(f"{size}\t{mtime!r}\t{ctime_ns}\t{ino}\t{sha256}\t{rel}\n")
+            handle.write(_INDEX_END + digest.hexdigest().encode("ascii") + b"\n")
+        os.replace(temp, path)
+    except BaseException:
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
+        raise
+
+
+def load_snapshot(path: Path, root: Path) -> Snapshot | None:
+    """Read the digest index save_snapshot wrote for root; None if unusable.
+
+    The file is streamed: entries are built as lines are read, and the
+    trailing checksum is checked before they are returned. A missing file
+    gives None silently. An unreadable file, another format version, or an
+    index of another directory (another path, or the same path with another
+    st_dev/st_ino, i.e. a directory made anew) gives None with a debug log;
+    a corrupt or truncated file gives None with a warning. With None, the
+    caller takes a cold snapshot: every file is hashed.
+    """
+    root = Path(root).resolve()
+    try:
+        # non-blocking, so a FIFO in its place cannot stall the run
+        with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as handle:
+            if not S_ISREG(os.fstat(handle.fileno()).st_mode):
+                log.debug("digest index %s is not a regular file", path)
+                return None
+            return _read_index(handle, root, path)
+    except FileNotFoundError:
+        return None
+    except _BadIndex as exc:
+        log.warning("ignoring digest index %s: %s", path, exc)
+    except OSError as exc:
+        log.debug("digest index %s not read: %s", path, exc)
+    return None
+
+
+def _read_index(handle: BinaryIO, root: Path, path: Path) -> Snapshot | None:
+    digest = hashlib.sha256()
+    line = handle.readline(_INDEX_HEADER_LIMIT)
+    if not line.endswith(b"\n"):
+        cut = len(line) < _INDEX_HEADER_LIMIT
+        raise _BadIndex("truncated header" if cut else "corrupt: header too long")
+    digest.update(line)
+    try:
+        header = json.loads(line)
+        if header["format"] != INDEX_FORMAT:
+            raise _BadIndex(f"corrupt: not a {INDEX_FORMAT} file")
+        if header["version"] != INDEX_VERSION:
+            log.debug("digest index %s has format version %r", path, header["version"])
+            return None
+        if header["root"] != str(root):
+            log.debug("digest index %s describes %r, not %s", path, header["root"], root)
+            return None
+        root_stat = os.stat(root)
+        if (header["dev"], header["ino"]) != (root_stat.st_dev, root_stat.st_ino):
+            log.debug("digest index %s describes an earlier directory at %s", path, root)
+            return None
+        snapshot = Snapshot(
+            root=root,
+            entries={},
+            stat_keys={},
+            started_ns=header["started_ns"],
+            stamp_ns=header["stamp_ns"],
+        )
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise _BadIndex(f"corrupt header: {exc!r}") from None
+    for line in handle:
+        if not line.endswith(b"\n"):
+            raise _BadIndex("truncated: last line is incomplete")
+        if line.startswith(_INDEX_END):
+            if line[len(_INDEX_END):-1] != digest.hexdigest().encode("ascii"):
+                raise _BadIndex("corrupt: checksum mismatch")
+            if handle.read(1):
+                raise _BadIndex("corrupt: data after the end line")
+            return snapshot
+        digest.update(line)
+        try:
+            size, mtime, ctime_ns, ino, sha256, rel = (
+                line[:-1].decode("utf-8", errors="surrogateescape").split("\t", 5)
+            )
+            if "\\" in rel:
+                rel = _REL_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], rel)
+            snapshot.entries[rel] = (int(size), float(mtime), sha256)
+            snapshot.stat_keys[rel] = (int(ctime_ns), int(ino))
+        except ValueError as exc:
+            raise _BadIndex(f"corrupt entry line: {exc}") from None
+    raise _BadIndex("truncated: no end line")
 
 
 def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:

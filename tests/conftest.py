@@ -71,6 +71,15 @@ def write_sample_project(workdir: Path) -> None:
     )
 
 
+@pytest.fixture(autouse=True)
+def isolated_index_cache(tmp_path_factory, monkeypatch) -> Path:
+    """Give each test its own XDG_CACHE_HOME, so no test reads or writes the
+    real home directory's digest indexes or shares one with another test."""
+    cache = tmp_path_factory.mktemp("xdg-cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+    return cache
+
+
 @pytest.fixture
 def meta() -> RunMetadata:
     return make_meta()

@@ -33,6 +33,18 @@ class TestAllocateRunDir:
         (tmp_path / "prov_2").mkdir()
         assert allocate_run_dir("prov", tmp_path).name == "prov_1"
 
+    def test_start_continues_above_a_taken_k(self, tmp_path):
+        (tmp_path / "prov_0").mkdir()
+        (tmp_path / "prov_2").mkdir()
+        assert allocate_run_dir("prov", tmp_path, start=1).name == "prov_1"
+        assert allocate_run_dir("prov", tmp_path, start=2).name == "prov_3"
+        assert allocate_run_dir("prov", tmp_path, 4).name == "prov_4"
+        # nothing below start is probed, free or not
+        assert allocate_run_dir("prov", tmp_path, start=7).name == "prov_7"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"prov_{k}" for k in (0, 1, 2, 3, 4, 7)
+        ]
+
     def test_directory_actually_created(self, tmp_path):
         path = allocate_run_dir("prov", tmp_path)
         assert path.is_dir()

@@ -28,7 +28,7 @@ from provwrap import (
     validate,
 )
 
-from provwrap.classify import inside_roots
+from provwrap.classify import inside_roots, watched_roots
 
 from conftest import make_meta, make_record
 
@@ -414,6 +414,61 @@ class TestSegmentation:
             ["data.csv", "out0.png", "out1.png", "out2.png", "prov_0/old.png",
              "main.py", "requirements.txt"]
         )
+
+
+    def test_each_path_is_hashed_once_per_call(self, workdir, config, monkeypatch):
+        classify_module = importlib.import_module("provwrap.classify")
+        real = classify_module.sha256_file
+        hashed = Counter()
+
+        def counting(path):
+            hashed[path] += 1
+            return real(path)
+
+        monkeypatch.setattr(classify_module, "sha256_file", counting)
+        entry = workdir / "main.py"
+        entry.write_text("pass\n")
+        requirements = workdir / "requirements.txt"
+        requirements.write_text("numpy\n")
+        data = workdir / "data.csv"
+        data.write_text("1\n")
+        chart = workdir / "chart.png"
+        chart.write_bytes(b"png")
+        events, directives = [], []
+        for k in range(3):  # three segments, each recording every path
+            base = 10 * k
+            events += [
+                _event(data, EventKind.READ_INTENT, base),
+                _event(chart, EventKind.WRITE_INTENT, base + 1),
+            ]
+            directives += [
+                _directive(DirectiveKind.INPUT, "data.csv", base + 2),
+                _directive(DirectiveKind.END_RUN, seq=base + 3),
+            ]
+        segments = classify(events, directives, config, workdir, entry_script=entry)
+        assert [len(segment.records) for segment in segments] == [4, 4, 4, 2]
+        assert hashed == Counter([data, chart, entry, requirements])
+        for segment in segments:
+            for record in segment.records:
+                content = record.original_path.read_bytes()
+                assert record.sha256 == hashlib.sha256(content).hexdigest()
+                assert record.size_bytes == len(content)
+
+
+class TestWatchedRoots:
+    def test_a_root_at_or_under_a_listed_root_is_left_out(self, workdir):
+        for rel in ("sub/deep", "other/inner"):
+            (workdir / rel).mkdir(parents=True)
+        cwd = workdir / "cwd"
+        cwd.mkdir()
+        (cwd / "sub" / "deep").mkdir(parents=True)
+        config = RunConfig(
+            watch_dirs=(
+                "sub", ".", "sub/deep", str(workdir / "other"), "../other/inner",
+                "missing", "../other",
+            )
+        )
+        assert watched_roots(config, cwd) == [cwd, workdir / "other"]
 
 
 class TestSizeThreshold:

@@ -17,7 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from provwrap import Backend, ControlDirective, DirectiveKind, EventKind, FileEvent
+from provwrap import (
+    Backend,
+    ControlDirective,
+    DirectiveKind,
+    EventKind,
+    FileEvent,
+    take_snapshot,
+)
 from provwrap.cli import (
     build_arg_parser,
     config_from_args,
@@ -717,3 +724,205 @@ class TestLinkRepeatedContent:
             assert len(_copied_files(workdir)) == 12
             for bundle in workdir.glob("prov_*"):
                 shutil.rmtree(bundle)
+
+
+class TestSegmentsAllocateUpward:
+    def test_each_segment_starts_above_the_last_bundle(self, tmp_path, monkeypatch):
+        workdir = (tmp_path / "work").resolve()
+        _segmented_project(workdir)
+        (workdir / "prov_0").mkdir()
+        (workdir / "prov_2").mkdir()
+        cli = importlib.import_module("provwrap.cli")
+        real = cli.allocate_run_dir
+        calls = []
+
+        def recording(base_name, parent, start=0):
+            path = real(base_name, parent, start)
+            calls.append((start, path.name))
+            return path
+
+        monkeypatch.setattr(cli, "allocate_run_dir", recording)
+        monkeypatch.chdir(workdir)
+        assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+        # the same directories as "smallest free k", without probing below
+        assert calls == [(0, "prov_1"), (2, "prov_3"), (4, "prov_4")]
+
+
+def _count_snapshot_hashes(monkeypatch):
+    """Count monitor.sha256_file calls per take_snapshot call made by cli.run.
+
+    Returns a list that gets one Counter of hashed paths per snapshot.
+    """
+    cli = importlib.import_module("provwrap.cli")
+    monitor = importlib.import_module("provwrap.monitor")
+    real_hash, real_take = monitor.sha256_file, cli.take_snapshot
+    per_snapshot = []
+
+    def counting(path):
+        per_snapshot[-1][Path(path)] += 1
+        return real_hash(path)
+
+    def taking(*args, **kwargs):
+        per_snapshot.append(Counter())
+        return real_take(*args, **kwargs)
+
+    monkeypatch.setattr(monitor, "sha256_file", counting)
+    monkeypatch.setattr(cli, "take_snapshot", taking)
+    return per_snapshot
+
+
+_DIFF_RUN = ["--backend", "diff", "--", sys.executable, "main.py"]
+
+
+class TestDigestIndexAcrossRuns:
+    def _tree(self, workdir):
+        (workdir / "data").mkdir(parents=True)
+        (workdir / "main.py").write_text("pass\n")
+        for i in range(4):
+            (workdir / "data" / f"f{i}.txt").write_text(f"file {i}\n")
+        return {workdir / "main.py"} | {workdir / "data" / f"f{i}.txt" for i in range(4)}
+
+    def test_second_run_hashes_only_what_changed(
+        self, tmp_path, monkeypatch, isolated_index_cache
+    ):
+        workdir = (tmp_path / "work").resolve()
+        everything = self._tree(workdir)
+        monkeypatch.chdir(workdir)
+        hashed = _count_snapshot_hashes(monkeypatch)
+        assert run(_DIFF_RUN) == 0
+        assert len(hashed) == 2
+        assert hashed[0] == Counter(everything)  # no index yet: cold
+        indexes = isolated_index_cache / "provwrap"
+        assert stat.S_IMODE(os.stat(indexes).st_mode) == 0o700
+        assert [p.suffix for p in indexes.iterdir()] == [".index"]
+
+        changed = workdir / "data" / "f1.txt"
+        changed.write_text("changed\n")
+        created = workdir / "data" / "new.txt"
+        created.write_text("new\n")
+        (workdir / "data" / "f2.txt").unlink()
+        hashed.clear()
+        assert run(_DIFF_RUN) == 0
+        assert hashed[0] == Counter([changed, created])
+        payload = json.loads((workdir / "prov_1" / "provenance.json").read_bytes())
+        assert sorted(payload["entity"]) == ["yProv4DA:src/main.py"]
+
+    def test_damaged_index_gives_a_cold_run_and_a_warning(
+        self, tmp_path, monkeypatch, isolated_index_cache, caplog
+    ):
+        workdir = (tmp_path / "work").resolve()
+        everything = self._tree(workdir)
+        monkeypatch.chdir(workdir)
+        assert run(_DIFF_RUN) == 0
+        (index,) = (isolated_index_cache / "provwrap").iterdir()
+        index.write_bytes(index.read_bytes()[:-10])
+        hashed = _count_snapshot_hashes(monkeypatch)
+        with caplog.at_level("WARNING"):
+            assert run(_DIFF_RUN) == 0
+        assert hashed[0] == Counter(everything)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"ignoring digest index {index}: truncated: last line is incomplete"
+        ]
+        assert (workdir / "prov_1" / "provenance.json").is_file()
+
+    def test_unusable_cache_directory_gives_a_silent_cold_run(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        workdir = (tmp_path / "work").resolve()
+        everything = self._tree(workdir)
+        monkeypatch.chdir(workdir)
+        hashed = _count_snapshot_hashes(monkeypatch)
+        with caplog.at_level("INFO"):
+            for _ in range(2):
+                hashed.clear()
+                assert run(_DIFF_RUN) == 0
+                assert hashed[0] == Counter(everything)
+        assert caplog.records == []
+        assert blocker.read_text() == ""
+
+    def test_cache_inside_the_working_directory_is_not_used(self, tmp_path, monkeypatch):
+        inside = (tmp_path / "inside").resolve()
+        plain = (tmp_path / "plain").resolve()
+        blocker = tmp_path / "no-cache"
+        blocker.write_text("")
+        for workdir, cache in ((inside, inside / ".cache"), (plain, blocker)):
+            workdir.mkdir()
+            write_sample_project(workdir)
+            monkeypatch.chdir(workdir)
+            monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+            for _ in range(2):
+                assert run(["--backend", "diff", "--", sys.executable, "examples/main.py"]) == 0
+        assert not (inside / ".cache").exists()
+        for k in range(2):
+            a, b = inside / f"prov_{k}", plain / f"prov_{k}"
+            assert _normalized_provenance(a, inside) == _normalized_provenance(b, plain)
+            files = sorted(p.relative_to(a) for p in a.rglob("*"))
+            assert files == sorted(p.relative_to(b) for p in b.rglob("*"))
+
+    def test_saving_a_65th_index_removes_the_oldest(self, tmp_path):
+        cli = importlib.import_module("provwrap.cli")
+        directory = tmp_path / "indexes"
+        directory.mkdir()
+        oldest = time.time_ns() - 10**12
+        earlier = []
+        for k in range(cli.INDEX_FILES_KEPT):
+            path = directory / f"{k:064x}.index"
+            path.write_text("an index of another root\n")
+            os.utime(path, ns=(oldest + k * 10**9,) * 2)
+            earlier.append(path)
+        root = (tmp_path / "root").resolve()
+        root.mkdir()
+        cli.save_indexes(directory, [take_snapshot(root)])
+        assert sorted(directory.iterdir()) == sorted(
+            earlier[1:] + [cli.index_file(directory, root)]
+        )
+
+
+_WATCH_CHILD = textwrap.dedent(
+    """\
+    import os
+
+    with open(os.environ["YPROV_CONTROL"], "a") as fh:
+        fh.write("INPUT\\tsub/a.csv\\n")
+    with open("sub/a.csv") as fh:
+        fh.read()
+    with open("sub/out.txt", "w") as fh:
+        fh.write("made\\n")
+    """
+)
+
+
+class TestNestedWatchDirectory:
+    def test_watch_directory_inside_cwd_is_snapshotted_once(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        monitor = importlib.import_module("provwrap.monitor")
+        # every file below was written long enough ago to be reusable
+        real_now = time.time_ns
+        monkeypatch.setattr(monitor, "time_ns", lambda: real_now() + 10 * 10**9)
+        hashed = _count_snapshot_hashes(monkeypatch)
+        bundles = {}
+        for name, flags in (("plain", []), ("watched", ["--watch", "sub", "--watch", "sub/"])):
+            workdir = (tmp_path / name).resolve()
+            (workdir / "sub").mkdir(parents=True)
+            (workdir / "sub" / "a.csv").write_text("x\n1\n")
+            (workdir / "main.py").write_text(_WATCH_CHILD)
+            monkeypatch.chdir(workdir)
+            hashed.clear()
+            with caplog.at_level("WARNING"):
+                assert run(["--backend", "diff", *flags, "--", sys.executable, "main.py"]) == 0
+            # one root: a before- and an after-snapshot, each file hashed once
+            assert hashed == [
+                Counter([workdir / "main.py", workdir / "sub" / "a.csv"]),
+                Counter([workdir / "sub" / "out.txt"]),
+            ]
+            bundle = workdir / "prov_0"
+            bundles[name] = (
+                _normalized_provenance(bundle, workdir),
+                sorted(p.relative_to(bundle) for p in bundle.rglob("*")),
+            )
+        assert bundles["plain"] == bundles["watched"]
+        assert caplog.records == []

@@ -8,6 +8,7 @@ import os
 import random
 import stat
 import tempfile
+import threading
 import time
 from pathlib import Path, PurePosixPath
 
@@ -21,7 +22,9 @@ from provwrap import (
     DirectiveKind,
     EventKind,
     diff_snapshots,
+    load_snapshot,
     parse_control_stream,
+    save_snapshot,
     take_snapshot,
 )
 from provwrap.classify import DEFAULT_EXCLUDES
@@ -262,6 +265,190 @@ class TestSnapshotDigestReuse:
         (tmp_path / "r2").mkdir()
         with pytest.raises(ValueError, match="roots differ"):
             take_snapshot(tmp_path / "r2", previous=take_snapshot(tmp_path / "r1"))
+
+
+def _mutate(root, mutations):
+    """Apply the oracle's mutations; return the names they touched."""
+    touched = set()
+    for op, name, data in mutations:
+        path = root / name
+        touched.add(name)
+        if op == "new_file" or not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+            continue
+        old = os.stat(path)
+        if op == "same_size":
+            path.write_bytes(bytes(b ^ 0xFF for b in path.read_bytes()))
+            os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
+        elif op == "rename_over":
+            spare = root / "spare.tmp"
+            spare.write_bytes(bytes(b ^ 0x55 for b in path.read_bytes()))
+            os.utime(spare, ns=(old.st_atime_ns, old.st_mtime_ns))
+            os.replace(spare, path)
+        elif op == "recreate":
+            path.unlink()
+            path.write_bytes(data)
+        else:
+            os.chmod(path, stat.S_IMODE(old.st_mode) ^ 0o020)
+    return touched
+
+
+# Names a file system can hold that the index must carry losslessly: TAB,
+# LF, a backslash before "n", and a byte that is not UTF-8.
+_ODD_NAMES = ["tab\there.txt", "line\nfeed.txt", "back\\nslash.txt", os.fsdecode(b"bad\xff.bin")]
+
+
+def _snapshot_with_odd_names(root):
+    (root / "sub").mkdir()
+    for name in _ODD_NAMES:
+        (root / name).write_bytes(name.encode("utf-8", "surrogateescape"))
+        (root / "sub" / name).write_bytes(b"nested")
+    return take_snapshot(root, stamp_prefix="prov_stamp-")
+
+
+class TestDigestIndex:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        initial=st.dictionaries(st.sampled_from(_NAMES), st.binary(max_size=12), min_size=1),
+        mutations=st.lists(_MUTATION, max_size=6),
+    )
+    def test_snapshot_from_a_loaded_index_equals_fresh_snapshot(
+        self, tmp_path, monkeypatch, initial, mutations
+    ):
+        _push_clock(monkeypatch)
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        index = Path(tempfile.mkdtemp(dir=tmp_path)) / "root.index"
+        for name, data in initial.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_bytes(data)
+        before = take_snapshot(root)
+        save_snapshot(before, index)
+        for name in _mutate(root, mutations):
+            if name in before.stat_keys and (root / name).exists():
+                _restamp_until_ctime_moves(root / name, before.stat_keys[name])
+
+        loaded = load_snapshot(index, root)
+        assert loaded == before
+        assert take_snapshot(root, previous=loaded).entries == take_snapshot(root).entries
+
+    def test_round_trip_keeps_odd_names_and_every_field(self, tmp_path):
+        snap = _snapshot_with_odd_names(tmp_path)
+        assert snap.stamp_ns is not None
+        assert set(_ODD_NAMES) <= set(snap.entries)
+        index = tmp_path.parent / f"{tmp_path.name}.index"
+        save_snapshot(snap, index)
+        loaded = load_snapshot(index, tmp_path)
+        assert loaded == snap
+        assert list(loaded.entries) == list(snap.entries)
+        for rel, (size, mtime, _) in loaded.entries.items():
+            st = os.stat(tmp_path / rel)
+            assert (size, mtime) == (st.st_size, st.st_mtime)
+            assert loaded.stat_keys[rel] == (st.st_ctime_ns, st.st_ino)
+
+    def test_loaded_index_lets_the_next_snapshot_reuse_every_digest(self, tmp_path):
+        snap = _snapshot_with_odd_names(tmp_path)
+        index = tmp_path.parent / f"{tmp_path.name}.index"
+        save_snapshot(snap, index)
+        again = take_snapshot(tmp_path, previous=load_snapshot(index, tmp_path))
+        assert again.entries == snap.entries
+        assert all(again.entries[rel] is not snap.entries[rel] for rel in snap.entries)
+
+    def test_save_is_atomic_and_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        root = tmp_path / "root"
+        root.mkdir()
+        (root / "a.txt").write_text("a")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        index = cache / "root.index"
+        save_snapshot(take_snapshot(root), index)
+        old = index.read_bytes()
+
+        def broken(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(monitor.os, "replace", broken)
+        with pytest.raises(OSError):
+            save_snapshot(take_snapshot(root), index)
+        assert [p.name for p in cache.iterdir()] == ["root.index"]
+        assert index.read_bytes() == old
+        assert stat.S_IMODE(os.stat(index).st_mode) == 0o600
+
+    def _saved(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir(exist_ok=True)
+        for i in range(3):
+            (root / f"f{i}.txt").write_text(f"file {i}\n")
+        index = tmp_path / "root.index"
+        save_snapshot(take_snapshot(root, stamp_prefix="prov_stamp-"), index)
+        return root, index
+
+    @pytest.mark.parametrize(
+        "damage, word",
+        [
+            # one bit of the last entry's sha256: only the checksum sees it
+            (lambda data: data[:-80] + bytes([data[-80] ^ 1]) + data[-79:], "corrupt"),
+            (lambda data: b"not json\n" + data.split(b"\n", 1)[1], "corrupt"),
+            (lambda data: data.replace(b"\t", b" ", 1), "corrupt"),
+            (lambda data: data + b"extra\n", "corrupt"),
+            (lambda data: b"[" * (1 << 20) + data, "corrupt"),
+            (lambda data: data[: data.rindex(b"end\t")], "truncated"),
+            (lambda data: data[:-1], "truncated"),
+            (lambda data: data[: len(data) // 2], "truncated"),
+            (lambda data: b"", "truncated"),
+        ],
+        ids=["flipped-bit", "header", "entry", "trailing", "endless-header", "no-end",
+             "cut-end", "half", "empty"],
+    )
+    def test_damaged_index_is_ignored_with_a_warning(self, tmp_path, caplog, damage, word):
+        root, index = self._saved(tmp_path)
+        index.write_bytes(damage(index.read_bytes()))
+        with caplog.at_level("DEBUG", logger="provwrap.monitor"):
+            assert load_snapshot(index, root) is None
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert word in warnings[0].getMessage()
+
+    def test_a_fifo_in_place_of_the_index_does_not_block(self, tmp_path, caplog):
+        root, index = self._saved(tmp_path)
+        index.unlink()
+        os.mkfifo(index)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(load_snapshot(index, root)))
+        with caplog.at_level("DEBUG", logger="provwrap.monitor"):
+            reader.start()
+            reader.join(timeout=10)
+        blocked = reader.is_alive()
+        if blocked:  # open the other end, so the thread can finish
+            with open(index, "wb"):
+                pass
+            reader.join(timeout=10)
+        assert not blocked
+        assert result == [None]
+        assert [r.levelname for r in caplog.records] == ["DEBUG"]
+
+    def test_other_version_or_directory_is_ignored_at_debug_level(self, tmp_path, caplog):
+        root, index = self._saved(tmp_path)
+        header, body = index.read_bytes().split(b"\n", 1)
+        newer = tmp_path / "newer.index"
+        newer.write_bytes(header.replace(b'"version": 1', b'"version": 2') + b"\n" + body)
+        other = tmp_path / "other"
+        other.mkdir()
+        with caplog.at_level("DEBUG", logger="provwrap.monitor"):
+            assert load_snapshot(newer, root) is None
+            assert load_snapshot(index, other) is None  # another path
+            root.rename(tmp_path / "old-root")
+            root.mkdir()  # the same path, made anew: another inode
+            assert load_snapshot(index, root) is None
+            assert load_snapshot(tmp_path / "missing.index", root) is None
+            assert load_snapshot(tmp_path, root) is None  # not a file: a directory
+        levels = [r.levelname for r in caplog.records]
+        assert levels == ["DEBUG"] * 4
+        assert take_snapshot(root).entries == {}
 
 
 def _fnmatch_oracle(rel_path, patterns):
