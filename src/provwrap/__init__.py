@@ -5,6 +5,7 @@ from .classify import (
     ArtifactRecord,
     Backend,
     Category,
+    InputCopies,
     LoggedBy,
     RunConfig,
     RunSegment,

@@ -20,7 +20,7 @@ from pathlib import Path
 from .classify import RunConfig, RunSegment
 from .errors import BundleError
 from .monitor import sha256_file
-from .provmodel import ProvDocument, build_document
+from .provmodel import build_document
 from .runmeta import RunMetadata
 from .serialize import render_svg, to_dot, to_prov_json, to_rocrate_metadata
 
@@ -80,19 +80,18 @@ def _link_shared(target: Path, destination: Path) -> bool:
 
 def write_bundle(
     segment: RunSegment,
-    doc: ProvDocument,
     meta: RunMetadata,
     config: RunConfig,
     bundle_dir: Path,
     links: dict[tuple[str, int], Path] | None = None,
 ) -> BundleReport:
-    """Copy artifacts and write all serialized products into bundle_dir.
+    """Copy the segment's artifacts into bundle_dir, then describe them there.
 
-    Copies are digest-verified after the fact; a mismatch is a hard error
-    because a corrupted bundle must never be reported as success. A source
-    file that vanished between classification and copy is downgraded to
-    metadata-only with a warning, and the provenance document is rebuilt
-    so it describes what the bundle really contains.
+    A copied record without a digest or size is refused before anything is
+    written. Copies are digest-verified; a mismatch is a hard error, since a
+    corrupted bundle must never pass as success. A vanished file is kept as
+    metadata only, with a warning. Then one document is built from the
+    records as they stand; it and the crate take the segment's name.
 
     links, when given, maps a recorded (sha256, size_bytes) to the first
     bundle copy with that content that has been copied and verified; the
@@ -108,9 +107,13 @@ def write_bundle(
         raise BundleError(f"bundle directory does not exist: {bundle_dir}")
     if any(bundle_dir.iterdir()):
         raise BundleError(f"bundle directory is not empty: {bundle_dir}")
+    for record in segment.records:
+        if record.copied and (record.sha256 is None or record.size_bytes is None):
+            raise BundleError(
+                f"copied record {record.bundle_relative_path!r} has no digest or size"
+            )
 
     report = BundleReport(bundle_dir=bundle_dir)
-    downgraded = False
     made_dirs: set[Path] = set()
     for record in segment.records:
         if not record.copied:
@@ -123,29 +126,25 @@ def write_bundle(
             )
             record.copied = False
             record.skip_reason = "vanished"
-            downgraded = True
             continue
         if destination.parent not in made_dirs:
             destination.parent.mkdir(parents=True, exist_ok=True)
             made_dirs.add(destination.parent)
         content = (record.sha256, record.size_bytes)
-        shared = None if links is None or record.sha256 is None else links.get(content)
+        shared = None if links is None else links.get(content)
         if shared is None or not _link_shared(shared, destination):
             shutil.copyfile(source, destination)
-        digest = sha256_file(destination)
-        if record.sha256 is not None and digest != record.sha256:
+        if sha256_file(destination) != record.sha256:
             raise BundleError(
                 f"digest mismatch after copying {source} to {destination}; "
                 "the file changed during packaging"
             )
-        if links is not None and record.sha256 is not None:
+        if links is not None:
             links.setdefault(content, destination)
         report.bytes_copied += destination.stat().st_size
         report.files_written.append(record.bundle_relative_path)
 
-    if downgraded:
-        doc = build_document(segment.records, meta, config)
-
+    doc = build_document(segment.records, meta, config, run_name=segment.name)
     prov_json = to_prov_json(doc)
     (bundle_dir / "provenance.json").write_bytes(prov_json)
     report.files_written.append("provenance.json")
@@ -161,7 +160,7 @@ def write_bundle(
             report.files_written.append("provenance.svg")
 
     if config.create_rocrate:
-        crate = to_rocrate_metadata(segment, meta, config)
+        crate = to_rocrate_metadata(segment, meta)
         (bundle_dir / "ro-crate-metadata.json").write_bytes(crate)
         report.files_written.append("ro-crate-metadata.json")
 

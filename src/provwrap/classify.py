@@ -8,6 +8,7 @@ each.
 
 from __future__ import annotations
 
+import glob
 import logging
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -49,6 +50,14 @@ class Backend(Enum):
     TRACE = "trace"
 
 
+class InputCopies(Enum):
+    """Which inputs a bundle copies; any value but FULL's is the skip reason."""
+
+    FULL = "full"
+    SUBSET = "subset_mode"
+    NONE = "not_saved"
+
+
 @dataclass
 class RunConfig:
     """Full configuration surface of one wrapped run."""
@@ -61,8 +70,7 @@ class RunConfig:
     create_dot_file: bool = False
     create_svg_file: bool = False
     create_rocrate: bool = True
-    save_input_files_full: bool = True
-    save_input_files_subset: bool = False
+    input_copies: InputCopies = InputCopies.FULL
     skip_files_larger_than: int = 50
     verbose: bool = False
     source_extensions: frozenset[str] = frozenset({".py"})
@@ -140,9 +148,23 @@ def directive_path(directive: ControlDirective, cwd: Path) -> Path | None:
     return (cwd / raw).resolve()
 
 
-def exclusion_patterns(config: RunConfig) -> tuple[str, ...]:
-    """Return the configured exclusions plus `<dir>_*` (bundles, stamps)."""
-    return tuple(config.excludes) + (f"{config.provenance_directory}_*",)
+def exclusion_patterns(
+    config: RunConfig, root: Path | None = None, roots: Iterable[Path] = ()
+) -> tuple[str, ...]:
+    """Return the configured exclusions plus `<dir>_*` (bundles, stamps).
+
+    For root's snapshot, also each other of roots below it: that root's own
+    snapshot covers it, excluding the `<dir>_*` entries at its top.
+    """
+    patterns = tuple(config.excludes) + (f"{config.provenance_directory}_*",)
+    if root is None:
+        return patterns
+    below = inside_roots([root])
+    return patterns + tuple(
+        glob.escape(other.relative_to(root).as_posix())
+        for other in roots
+        if other != root and below(other)
+    )
 
 
 def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
@@ -230,13 +252,9 @@ def _finish_record(
         record.copied = False
         record.skip_reason = "vanished"
         return record
-    if record.category is Category.INPUT:
-        if config.save_input_files_subset:
-            record.copied = False
-            record.skip_reason = "subset_mode"
-        elif not config.save_input_files_full:
-            record.copied = False
-            record.skip_reason = "not_saved"
+    if record.category is Category.INPUT and config.input_copies is not InputCopies.FULL:
+        record.copied = False
+        record.skip_reason = config.input_copies.value
     if record.copied:
         record = apply_size_threshold(record, config.skip_files_larger_than)
     return record

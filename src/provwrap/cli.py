@@ -25,6 +25,7 @@ from .bundle import allocate_run_dir, write_bundle
 from .classify import (
     Backend,
     DEFAULT_EXCLUDES,
+    InputCopies,
     RunConfig,
     classify,
     directive_path,
@@ -43,7 +44,7 @@ from .monitor import (
     save_snapshot,
     take_snapshot,
 )
-from .provmodel import build_document
+from .provmodel import build_document  # unused; perfbench/probes.py patches it here
 from .runmeta import capture_run
 
 log = logging.getLogger(__name__)
@@ -132,6 +133,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     extensions = {
         ext if ext.startswith(".") else f".{ext}" for ext in args.source_ext
     } or {".py"}
+    input_copies = InputCopies.NONE if args.no_save_inputs else InputCopies.FULL
+    if args.subset_inputs:  # wins over --no-save-inputs
+        input_copies = InputCopies.SUBSET
     return RunConfig(
         run_name=args.name,
         provenance_directory=args.dir,
@@ -141,8 +145,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         create_dot_file=args.dot,
         create_svg_file=args.svg,
         create_rocrate=not args.no_rocrate,
-        save_input_files_full=not args.no_save_inputs,
-        save_input_files_subset=args.subset_inputs,
+        input_copies=input_copies,
         skip_files_larger_than=args.max_file_mb,
         verbose=args.verbose,
         source_extensions=frozenset(extensions),
@@ -337,8 +340,10 @@ def run(argv: list[str]) -> int:
     cwd = Path.cwd().resolve()
     backend = select_backend(config)
     entry_script = detect_entry_script(command, cwd, config.source_extensions)
-    snapshot_excludes = exclusion_patterns(config)
     watch_roots = watched_roots(config, cwd)
+    excludes = {
+        root: exclusion_patterns(config, root, watch_roots) for root in watch_roots
+    }
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
         if not extra.is_dir():
@@ -362,7 +367,7 @@ def run(argv: list[str]) -> int:
             before = {
                 root: take_snapshot(
                     root,
-                    snapshot_excludes,
+                    excludes[root],
                     previous=None
                     if indexes is None
                     else load_snapshot(index_file(indexes, root), root),
@@ -380,7 +385,6 @@ def run(argv: list[str]) -> int:
                 command,
                 {"YPROV_CONTROL": str(control_path)},
                 spawn_argv=spawn_argv,
-                verbose=config.verbose,
             )
         except OSError as exc:
             target = (spawn_argv or command)[0]
@@ -405,7 +409,7 @@ def run(argv: list[str]) -> int:
                 events = []
                 for root in watch_roots:
                     after = take_snapshot(
-                        root, snapshot_excludes, previous=before[root], stamp_prefix=stamp_prefix
+                        root, excludes[root], previous=before[root], stamp_prefix=stamp_prefix
                     )
                     after_snapshots.append(after)
                     events.extend(diff_snapshots(before[root], after))
@@ -435,20 +439,15 @@ def run(argv: list[str]) -> int:
             for segment in segments:
                 bundle_dir = allocate_run_dir(config.provenance_directory, cwd, next_k)
                 next_k = int(bundle_dir.name.rsplit("_", 1)[1]) + 1
-                segment_config = dataclasses.replace(config, run_name=segment.name)
-                doc = build_document(segment.records, meta, segment_config)
-                report = write_bundle(
-                    segment, doc, meta, segment_config, bundle_dir, links=links
-                )
+                report = write_bundle(segment, meta, config, bundle_dir, links=links)
                 for message in (*segment.errors, *report.warnings):
                     log.warning("%s", message)
-                if config.verbose:
-                    log.debug(
-                        "bundle %s: %d files, %d bytes copied",
-                        bundle_dir,
-                        len(report.files_written),
-                        report.bytes_copied,
-                    )
+                log.debug(
+                    "bundle %s: %d files, %d bytes copied",
+                    bundle_dir,
+                    len(report.files_written),
+                    report.bytes_copied,
+                )
         except Exception as exc:  # exit-code policy boundary for provenance failures
             print(f"provwrap: provenance capture failed: {exc}", file=sys.stderr)
             if child_status != 0:

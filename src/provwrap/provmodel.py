@@ -121,19 +121,20 @@ def build_document(
     records: Sequence[ArtifactRecord],
     meta: RunMetadata,
     config: RunConfig,
+    run_name: str | None = None,
 ) -> ProvDocument:
     """Construct the provenance graph for one classified segment.
 
-    One activity (named from the configured run name), one agent, one
-    entity per record. Input/Source/Environment records get a used edge,
-    Output records a wasGeneratedBy edge, and a record flagged
+    One activity (named run_name, or else the configured run name),
+    one agent, one entity per record. Input/Source/Environment records get
+    a used edge, Output records a wasGeneratedBy edge, and a record flagged
     also_generated gets both on its single entity. Entity locals are the
     bundle-relative paths; original absolute paths are kept as an entity
     attribute. Relation ids are deterministic: u<k>/g<k> in record order,
     a0 for the agent association.
     """
     prefix = config.prefix
-    activity_id = QualifiedName(prefix, encode_local(config.run_name))
+    activity_id = QualifiedName(prefix, encode_local(run_name or config.run_name))
     agent_id = QualifiedName(prefix, "agent")
 
     entities: dict[str, ProvEntity] = {}

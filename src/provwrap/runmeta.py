@@ -118,7 +118,7 @@ def _scan_packed_refs(git_dir: Path, ref: str) -> str | None:
     return None
 
 
-def resolve_git_head(start_dir: Path, verbose: bool = False) -> str | None:
+def resolve_git_head(start_dir: Path) -> str | None:
     """Return the commit hash HEAD points at, or None.
 
     Walks upward from start_dir to the nearest directory containing ".git"
@@ -128,14 +128,12 @@ def resolve_git_head(start_dir: Path, verbose: bool = False) -> str | None:
     """
     git_dir = _find_git_dir(start_dir)
     if git_dir is None:
-        if verbose:
-            log.warning("no git repository found above %s", start_dir)
+        log.debug("no git repository found above %s", start_dir)
         return None
     try:
         head = (git_dir / "HEAD").read_text(encoding="utf-8").strip()
     except OSError as exc:
-        if verbose:
-            log.warning("could not read %s: %s", git_dir / "HEAD", exc)
+        log.debug("could not read %s: %s", git_dir / "HEAD", exc)
         return None
     if _HEX40.match(head):
         return head.lower()
@@ -144,11 +142,10 @@ def resolve_git_head(start_dir: Path, verbose: bool = False) -> str | None:
         commit = _read_ref_file(git_dir / ref)
         if commit is None:
             commit = _scan_packed_refs(git_dir, ref)
-        if commit is None and verbose:
-            log.warning("unresolvable ref %r in %s", ref, git_dir)
+        if commit is None:
+            log.debug("unresolvable ref %r in %s", ref, git_dir)
         return commit
-    if verbose:
-        log.warning("unrecognized HEAD content in %s", git_dir)
+    log.debug("unrecognized HEAD content in %s", git_dir)
     return None
 
 
@@ -156,7 +153,6 @@ def capture_run(
     argv: Sequence[str],
     env_overrides: Mapping[str, str],
     spawn_argv: Sequence[str] | None = None,
-    verbose: bool = False,
 ) -> RunMetadata:
     """Run the command and record its execution metadata.
 
@@ -215,5 +211,5 @@ def capture_run(
         username=username,
         hostname=hostname,
         cwd=cwd,
-        git_commit=resolve_git_head(cwd, verbose=verbose),
+        git_commit=resolve_git_head(cwd),
     )

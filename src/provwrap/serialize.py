@@ -14,7 +14,7 @@ import subprocess
 from pathlib import PurePosixPath
 from typing import Any
 
-from .classify import Category, LoggedBy, RunConfig, RunSegment
+from .classify import Category, LoggedBy, RunSegment
 from .errors import DocumentError, ProvJsonError, RendererError
 from .provmodel import (
     ProvActivity,
@@ -397,17 +397,13 @@ def media_type_for(path: str) -> str:
     return MEDIA_TYPES.get(PurePosixPath(path).suffix.lower(), "application/octet-stream")
 
 
-def to_rocrate_metadata(
-    segment: RunSegment,
-    meta: RunMetadata,
-    config: RunConfig,
-) -> bytes:
+def to_rocrate_metadata(segment: RunSegment, meta: RunMetadata) -> bytes:
     """Emit ro-crate-metadata.json describing the bundle directory.
 
-    The root Dataset's hasPart lists every copied artifact plus the
-    provenance JSON; each copied artifact gets a File entity with size,
-    media type and sha256. The crate must describe only what it contains,
-    so a copied record without a digest is a construction error.
+    The root Dataset takes the segment's name, and its hasPart lists every
+    copied artifact plus the provenance JSON; each copied artifact gets a
+    File entity with size, media type and sha256. The crate must describe
+    only what it contains, so a copied record without a digest is an error.
     """
     copied = [record for record in segment.records if record.copied]
     for record in copied:
@@ -432,7 +428,7 @@ def to_rocrate_metadata(
             "@type": "Dataset",
             "datePublished": format_timestamp(meta.end_time),
             "hasPart": [{"@id": part} for part in part_ids],
-            "name": config.run_name,
+            "name": segment.name,
         },
     ]
     for part in part_ids:

@@ -9,10 +9,14 @@ import pytest
 from provwrap import (
     BundleError,
     Category,
+    ControlDirective,
+    DirectiveKind,
+    EventKind,
+    FileEvent,
     RunConfig,
     RunSegment,
     allocate_run_dir,
-    build_document,
+    classify,
     write_bundle,
 )
 
@@ -112,9 +116,8 @@ class TestWriteBundle:
             ],
         )
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        report = write_bundle(segment, doc, meta, config, bundle_dir)
+        report = write_bundle(segment, meta, config, bundle_dir)
 
         assert (bundle_dir / "inputs/results.csv").is_file()
         assert (bundle_dir / "outputs/example.png").is_file()
@@ -142,9 +145,8 @@ class TestWriteBundle:
         workdir.mkdir()
         segment = _segment_from_tree(workdir, [("data.bin", Category.INPUT)])
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, doc, meta, config, bundle_dir)
+        write_bundle(segment, meta, config, bundle_dir)
         assert (bundle_dir / "inputs/data.bin").read_bytes() == (
             workdir / "data.bin"
         ).read_bytes()
@@ -152,9 +154,8 @@ class TestWriteBundle:
     def test_zero_record_segment(self, tmp_path, config):
         segment = RunSegment(name="experiment_run")
         meta = make_meta()
-        doc = build_document([], meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, doc, meta, config, bundle_dir)
+        write_bundle(segment, meta, config, bundle_dir)
         on_disk = sorted(p.name for p in bundle_dir.iterdir())
         assert on_disk == ["provenance.json", "ro-crate-metadata.json"]
 
@@ -165,9 +166,8 @@ class TestWriteBundle:
         segment.records[0].copied = False
         segment.records[0].skip_reason = "size_threshold"
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, doc, meta, config, bundle_dir)
+        write_bundle(segment, meta, config, bundle_dir)
         assert not (bundle_dir / "inputs/big.bin").exists()
         payload = json.loads((bundle_dir / "provenance.json").read_bytes())
         entity = payload["entity"]["yProv4DA:inputs/big.bin"]
@@ -179,9 +179,8 @@ class TestWriteBundle:
         segment = _segment_from_tree(workdir, [("fleeting.csv", Category.INPUT)])
         (workdir / "fleeting.csv").unlink()
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        report = write_bundle(segment, doc, meta, config, bundle_dir)
+        report = write_bundle(segment, meta, config, bundle_dir)
         assert any("vanished" in w for w in report.warnings)
         payload = json.loads((bundle_dir / "provenance.json").read_bytes())
         entity = payload["entity"]["yProv4DA:inputs/fleeting.csv"]
@@ -197,10 +196,9 @@ class TestWriteBundle:
         segment = _segment_from_tree(workdir, [("racy.csv", Category.INPUT)])
         segment.records[0].sha256 = "0" * 64  # simulate concurrent modification
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
         with pytest.raises(BundleError, match="digest mismatch"):
-            write_bundle(segment, doc, meta, config, bundle_dir)
+            write_bundle(segment, meta, config, bundle_dir)
 
     def test_optional_outputs_follow_flags(self, tmp_path, monkeypatch):
         import provwrap.bundle as bundle_module
@@ -211,9 +209,8 @@ class TestWriteBundle:
         config = RunConfig(create_dot_file=True, create_svg_file=True, create_json_file=True)
         segment = RunSegment(name="experiment_run")
         meta = make_meta()
-        doc = build_document([], meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, doc, meta, config, bundle_dir)
+        write_bundle(segment, meta, config, bundle_dir)
         assert (bundle_dir / "provenance.dot").is_file()
         assert (bundle_dir / "provenance.svg").read_bytes() == b"<?xml fake svg"
         sibling = tmp_path / "prov_0.provenance.json"
@@ -224,18 +221,16 @@ class TestWriteBundle:
         config = RunConfig(create_rocrate=False)
         segment = RunSegment(name="experiment_run")
         meta = make_meta()
-        doc = build_document([], meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, doc, meta, config, bundle_dir)
+        write_bundle(segment, meta, config, bundle_dir)
         assert not (bundle_dir / "ro-crate-metadata.json").exists()
 
     def test_dirty_bundle_dir_rejected(self, tmp_path, config):
         bundle_dir = allocate_run_dir("prov", tmp_path)
         (bundle_dir / "leftover").write_text("x")
         meta = make_meta()
-        doc = build_document([], meta, config)
         with pytest.raises(BundleError, match="not empty"):
-            write_bundle(RunSegment(name="x"), doc, meta, config, bundle_dir)
+            write_bundle(RunSegment(name="x"), meta, config, bundle_dir)
 
     def test_listed_files_all_exist(self, tmp_path, config):
         workdir = tmp_path / "work"
@@ -244,9 +239,44 @@ class TestWriteBundle:
             workdir, [("a.csv", Category.INPUT), ("b.png", Category.OUTPUT)]
         )
         meta = make_meta()
-        doc = build_document(segment.records, meta, config)
         bundle_dir = allocate_run_dir("prov", tmp_path)
-        report = write_bundle(segment, doc, meta, config, bundle_dir)
+        report = write_bundle(segment, meta, config, bundle_dir)
         for rel in report.files_written:
             assert (bundle_dir / rel).is_file()
         assert len(set(report.files_written)) == len(report.files_written)
+
+    def test_copied_record_without_digest_is_refused_before_any_copy(
+        self, tmp_path, config
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _segment_from_tree(
+            workdir, [("a.csv", Category.INPUT), ("b.png", Category.OUTPUT)]
+        )
+        segment.records[1].sha256 = None  # a copy the bundle could not verify
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        with pytest.raises(BundleError, match="outputs/b.png"):
+            write_bundle(segment, make_meta(), config, bundle_dir)
+        assert list(bundle_dir.iterdir()) == []
+
+    def test_later_segment_is_named_after_itself(self, tmp_path, config):
+        workdir = (tmp_path / "work").resolve()
+        workdir.mkdir()
+        for name in ("a.csv", "b.csv"):
+            (workdir / name).write_text(f"{name}\n")
+        segments = classify(
+            [
+                FileEvent(path=workdir / "a.csv", kind=EventKind.READ_INTENT, seq=0),
+                FileEvent(path=workdir / "b.csv", kind=EventKind.READ_INTENT, seq=2),
+            ],
+            [ControlDirective(kind=DirectiveKind.END_RUN, seq=1)],
+            config,
+            workdir,
+        )
+        assert [s.name for s in segments] == ["experiment_run", "experiment_run_1"]
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        write_bundle(segments[1], make_meta(), config, bundle_dir)
+        payload = json.loads((bundle_dir / "provenance.json").read_bytes())
+        assert list(payload["activity"]) == ["yProv4DA:experiment_run_1"]
+        crate = json.loads((bundle_dir / "ro-crate-metadata.json").read_bytes())
+        assert crate["@graph"][1]["name"] == "experiment_run_1"

@@ -18,6 +18,7 @@ from provwrap import (
     DirectiveKind,
     EventKind,
     FileEvent,
+    InputCopies,
     LoggedBy,
     RunConfig,
     apply_size_threshold,
@@ -512,7 +513,7 @@ class TestSizeThreshold:
 
 class TestInputSavingModes:
     def test_subset_mode_degrades_to_metadata_only(self, workdir):
-        config = RunConfig(save_input_files_subset=True)
+        config = RunConfig(input_copies=InputCopies.SUBSET)
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
@@ -524,7 +525,7 @@ class TestInputSavingModes:
         assert record.sha256 is not None
 
     def test_no_save_inputs(self, workdir):
-        config = RunConfig(save_input_files_full=False)
+        config = RunConfig(input_copies=InputCopies.NONE)
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
@@ -535,7 +536,7 @@ class TestInputSavingModes:
         assert record.skip_reason == "not_saved"
 
     def test_outputs_unaffected_by_input_modes(self, workdir):
-        config = RunConfig(save_input_files_subset=True)
+        config = RunConfig(input_copies=InputCopies.SUBSET)
         f = workdir / "out.png"
         f.write_bytes(b"p")
         segments = classify(
@@ -630,8 +631,7 @@ class TestRunConfigInvariants:
         assert config.create_dot_file is False
         assert config.create_svg_file is False
         assert config.create_rocrate is True
-        assert config.save_input_files_full is True
-        assert config.save_input_files_subset is False
+        assert config.input_copies is InputCopies.FULL
         assert config.skip_files_larger_than == 50
         assert config.verbose is False
 

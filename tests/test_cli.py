@@ -23,6 +23,7 @@ from provwrap import (
     DirectiveKind,
     EventKind,
     FileEvent,
+    InputCopies,
     take_snapshot,
 )
 from provwrap.cli import (
@@ -82,8 +83,7 @@ class TestFlagMapping:
         assert config.default_namespace == "https://lab.example/"
         assert config.create_json_file and config.create_dot_file and config.create_svg_file
         assert config.create_rocrate is False
-        assert config.save_input_files_full is False
-        assert config.save_input_files_subset is True
+        assert config.input_copies is InputCopies.SUBSET
         assert config.skip_files_larger_than == 5
         assert config.source_extensions == frozenset({".R", ".jl"})
         assert config.source_roots == ("helpers",)
@@ -91,6 +91,16 @@ class TestFlagMapping:
         assert "*.log" in config.excludes
         assert config.backend is Backend.DIFF
         assert config.verbose is True
+
+    def test_subset_wins_when_both_input_flags_are_given(self):
+        assert _parse_config([]).input_copies is InputCopies.FULL
+        assert _parse_config(["--no-save-inputs"]).input_copies is InputCopies.NONE
+        assert _parse_config(["--subset-inputs"]).input_copies is InputCopies.SUBSET
+        for flags in (
+            ["--no-save-inputs", "--subset-inputs"],
+            ["--subset-inputs", "--no-save-inputs"],
+        ):
+            assert _parse_config(flags).input_copies is InputCopies.SUBSET
 
 
 class TestEntryScriptDetection:
@@ -407,6 +417,48 @@ class TestRunEndToEnd:
                 results.setdefault(section, []).append(payload.get(section))
         for section, values in results.items():
             assert values[0] == values[1], section
+
+    def test_both_input_flags_give_subset_mode(self, project):
+        status = run(
+            ["--backend", "diff", "--no-save-inputs", "--subset-inputs", "--",
+             sys.executable, "examples/main.py"]
+        )
+        assert status == 0
+        payload = json.loads((project / "prov_0" / "provenance.json").read_bytes())
+        entity = payload["entity"]["yProv4DA:inputs/assets/results.csv"]
+        assert entity["yprov:copied"] == "false"
+        assert entity["yprov:skip_reason"] == "subset_mode"
+        assert not (project / "prov_0" / "inputs" / "assets").exists()
+
+    def test_vanished_record_builds_one_document_per_bundle(
+        self, project, monkeypatch, caplog
+    ):
+        cli = importlib.import_module("provwrap.cli")
+        bundle_module = importlib.import_module("provwrap.bundle")
+        real_classify, real_build = cli.classify, cli.build_document
+        builds = []
+
+        def classify_then_remove(*args, **kwargs):
+            segments = real_classify(*args, **kwargs)
+            (project / "assets" / "results.csv").unlink()
+            return segments
+
+        def counting(*args, **kwargs):
+            builds.append(args[0])
+            return real_build(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "classify", classify_then_remove)
+        monkeypatch.setattr(cli, "build_document", counting)
+        monkeypatch.setattr(bundle_module, "build_document", counting)
+        with caplog.at_level("WARNING"):
+            status = run(["--backend", "diff", "--", sys.executable, "examples/main.py"])
+        assert status == 0
+        assert len(builds) == 1  # one bundle, one document
+        payload = json.loads((project / "prov_0" / "provenance.json").read_bytes())
+        entity = payload["entity"]["yProv4DA:inputs/assets/results.csv"]
+        assert entity["yprov:copied"] == "false"
+        assert entity["yprov:skip_reason"] == "vanished"
+        assert any("vanished before copy" in r.getMessage() for r in caplog.records)
 
     def test_undecodable_control_line_loses_only_that_line(self, project, caplog):
         child = (
@@ -926,3 +978,49 @@ class TestNestedWatchDirectory:
             )
         assert bundles["plain"] == bundles["watched"]
         assert caplog.records == []
+
+
+_OUTER_CHILD = textwrap.dedent(
+    """\
+    with open("a.csv") as fh:
+        fh.read()
+    with open("out.txt", "a") as fh:
+        fh.write("out\\n")
+    with open("../made.txt", "w") as fh:
+        fh.write("made\\n")
+    """
+)
+
+
+class TestWatchDirectoryContainingCwd:
+    def test_each_file_is_snapshotted_once_and_no_bundle_ever(
+        self, tmp_path, monkeypatch
+    ):
+        outer = (tmp_path / "outer").resolve()
+        workdir = outer / "work"
+        workdir.mkdir(parents=True)
+        (outer / "side.csv").write_text("s\n")
+        (workdir / "a.csv").write_text("x\n1\n")
+        (workdir / "main.py").write_text(_OUTER_CHILD)
+        monkeypatch.chdir(workdir)
+        hashed = _count_snapshot_hashes(monkeypatch)
+        for _ in range(2):
+            assert run(
+                ["--backend", "diff", "--watch", "..", "--", sys.executable, "main.py"]
+            ) == 0
+        # two runs, each a before- and an after-snapshot of cwd and of ..
+        assert len(hashed) == 8
+        pairs = [hashed[k] + hashed[k + 1] for k in range(0, 8, 2)]
+        for pair in pairs:
+            assert max(pair.values(), default=0) <= 1, pair
+        assert pairs[0] == Counter(
+            [workdir / "a.csv", workdir / "main.py", outer / "side.csv"]
+        )
+        assert pairs[1] == Counter([workdir / "out.txt", outer / "made.txt"])
+        in_bundles = [
+            path
+            for path in set().union(*hashed)
+            if any(part.startswith("prov_") for part in path.relative_to(outer).parts)
+        ]
+        assert in_bundles == []
+        assert (workdir / "prov_1" / "outputs" / "out.txt").is_file()

@@ -353,7 +353,7 @@ class TestRocrateMetadata:
         )
 
     def test_graph_structure(self, meta, config):
-        payload = json.loads(to_rocrate_metadata(self._segment(), meta, config))
+        payload = json.loads(to_rocrate_metadata(self._segment(), meta))
         assert payload["@context"] == "https://w3id.org/ro/crate/1.1/context"
         descriptor, root = payload["@graph"][0], payload["@graph"][1]
         assert descriptor["@id"] == "ro-crate-metadata.json"
@@ -366,7 +366,7 @@ class TestRocrateMetadata:
         assert root["datePublished"] == "2026-08-10T09:00:02.500Z"
 
     def test_haspart_lists_copied_files_plus_provenance(self, meta, config):
-        payload = json.loads(to_rocrate_metadata(self._segment(), meta, config))
+        payload = json.loads(to_rocrate_metadata(self._segment(), meta))
         parts = [p["@id"] for p in payload["@graph"][1]["hasPart"]]
         assert parts == [
             "inputs/results.csv",
@@ -376,7 +376,7 @@ class TestRocrateMetadata:
         ]
 
     def test_file_entities(self, meta, config):
-        payload = json.loads(to_rocrate_metadata(self._segment(), meta, config))
+        payload = json.loads(to_rocrate_metadata(self._segment(), meta))
         files = {e["@id"]: e for e in payload["@graph"][2:]}
         png = files["outputs/example.png"]
         assert png["@type"] == "File"
@@ -388,7 +388,7 @@ class TestRocrateMetadata:
         assert "inputs/huge.bin" not in files
 
     def test_entity_key_order_id_and_type_first_then_sorted(self, meta, config):
-        payload = json.loads(to_rocrate_metadata(self._segment(), meta, config))
+        payload = json.loads(to_rocrate_metadata(self._segment(), meta))
         for entity in payload["@graph"]:
             keys = list(entity)
             assert keys[0] == "@id"
@@ -397,7 +397,7 @@ class TestRocrateMetadata:
 
     def test_zero_record_segment(self, meta, config):
         payload = json.loads(
-            to_rocrate_metadata(RunSegment(name="empty"), meta, config)
+            to_rocrate_metadata(RunSegment(name="empty"), meta)
         )
         parts = [p["@id"] for p in payload["@graph"][1]["hasPart"]]
         assert parts == ["provenance.json"]
@@ -407,11 +407,11 @@ class TestRocrateMetadata:
             name="broken", records=[make_record(sha256=None, size_bytes=None)]
         )
         with pytest.raises(DocumentError):
-            to_rocrate_metadata(segment, meta, config)
+            to_rocrate_metadata(segment, meta)
 
     def test_byte_determinism(self, meta, config):
-        first = to_rocrate_metadata(self._segment(), meta, config)
-        second = to_rocrate_metadata(self._segment(), meta, config)
+        first = to_rocrate_metadata(self._segment(), meta)
+        second = to_rocrate_metadata(self._segment(), meta)
         assert first == second
 
 
