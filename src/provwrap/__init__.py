@@ -3,7 +3,6 @@
 from .bundle import BundleReport, allocate_run_dir, write_bundle
 from .classify import (
     ArtifactRecord,
-    Backend,
     Category,
     InputCopies,
     LoggedBy,

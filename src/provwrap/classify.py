@@ -44,12 +44,6 @@ class LoggedBy(Enum):
     USER = "user"
 
 
-class Backend(Enum):
-    AUTO = "auto"
-    DIFF = "diff"
-    TRACE = "trace"
-
-
 class InputCopies(Enum):
     """Which inputs a bundle copies; any value but FULL's is the skip reason."""
 
@@ -72,11 +66,9 @@ class RunConfig:
     create_rocrate: bool = True
     input_copies: InputCopies = InputCopies.FULL
     skip_files_larger_than: int = 50
-    verbose: bool = False
     source_extensions: frozenset[str] = frozenset({".py"})
     source_roots: tuple[str, ...] = ()
     watch_dirs: tuple[Path, ...] = ()
-    backend: Backend = Backend.AUTO
     excludes: tuple[str, ...] = DEFAULT_EXCLUDES
 
     def __post_init__(self) -> None:

@@ -1,4 +1,4 @@
-"""Command-line wrapper: snapshot, spawn, collect, classify, build, write.
+"""Command-line wrapper: observe, spawn, collect, classify, build, write.
 
 Usage: provwrap [flags] -- COMMAND [ARG...]
 
@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .bundle import allocate_run_dir, write_bundle
 from .classify import (
-    Backend,
     DEFAULT_EXCLUDES,
     InputCopies,
     RunConfig,
@@ -33,12 +32,14 @@ from .classify import (
     inside_roots,
     watched_roots,
 )
+from .errors import ControlParseError
 from .monitor import (
     ControlDirective,
     FileEvent,
     Snapshot,
     diff_snapshots,
     load_snapshot,
+    parse_control_line,
     parse_control_stream,
     parse_trace_stream,
     save_snapshot,
@@ -147,21 +148,11 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         create_rocrate=not args.no_rocrate,
         input_copies=input_copies,
         skip_files_larger_than=args.max_file_mb,
-        verbose=args.verbose,
         source_extensions=frozenset(extensions),
         source_roots=tuple(args.source_root),
         watch_dirs=tuple(Path(w) for w in args.watch),
-        backend=Backend(args.backend),
         excludes=DEFAULT_EXCLUDES + tuple(args.exclude),
     )
-
-
-def select_backend(config: RunConfig) -> Backend:
-    if config.backend is not Backend.AUTO:
-        return config.backend
-    if sys.platform.startswith("linux") and shutil.which("strace"):
-        return Backend.TRACE
-    return Backend.DIFF
 
 
 def detect_entry_script(command: list[str], cwd: Path, extensions: frozenset[str]) -> Path | None:
@@ -233,18 +224,24 @@ def unify_timeline(
 def read_control_lines(path: Path) -> list[str]:
     """Read the control file as universal-newline UTF-8 text, line by line.
 
-    A line that is not valid UTF-8 becomes a blank line, with a warning
-    naming its 1-based number: it still consumes its seq index, and only
-    that directive is lost instead of the whole run.
+    A line that is not valid UTF-8, or that the control grammar rejects,
+    becomes a blank line, with a warning naming its 1-based number: it still
+    consumes its seq index, and only that directive is lost instead of the
+    whole run.
     """
     data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     lines = []
     for number, raw in enumerate(data.split(b"\n"), start=1):
         try:
-            lines.append(raw.decode("utf-8"))
+            line = raw.decode("utf-8")
+            parse_control_line(line, number - 1)
         except UnicodeDecodeError:
             log.warning("control line %d is not valid UTF-8 and was ignored", number)
-            lines.append("")
+            line = ""
+        except ControlParseError as exc:
+            log.warning("control %s; the line was ignored", exc)
+            line = ""
+        lines.append(line)
     return lines
 
 
@@ -306,6 +303,77 @@ def save_indexes(directory: Path, snapshots: list[Snapshot]) -> None:
         log.debug("digest index directory %s not pruned: %s", directory, exc)
 
 
+class DiffBackend:
+    """Snapshot the watched roots before (on construction) and after the
+    child; the events are the differences, with no order within the run."""
+
+    trace_order = False
+
+    def __init__(self, scratch: Path, cwd: Path, config: RunConfig) -> None:
+        roots = watched_roots(config, cwd)
+        self.excludes = {root: exclusion_patterns(config, root, roots) for root in roots}
+        self.stamp_prefix = f"{config.provenance_directory}_stamp-"
+        self.indexes = index_directory()
+        if self.indexes is not None and inside_roots(roots)(self.indexes):
+            self.indexes = None  # provwrap's own files never enter a snapshot
+        # The before-snapshot starts from the last run's after-snapshot, so
+        # only the files changed since are read; the after-snapshots are
+        # stamped too, so the files the child wrote can be reused next time.
+        self.before = {
+            root: take_snapshot(
+                root,
+                patterns,
+                previous=None
+                if self.indexes is None
+                else load_snapshot(index_file(self.indexes, root), root),
+                stamp_prefix=self.stamp_prefix,
+            )
+            for root, patterns in self.excludes.items()
+        }
+
+    def spawn_argv(self, command: list[str]) -> list[str]:
+        return command
+
+    def collect(self, control_path: Path) -> tuple[list[FileEvent], list[Snapshot]]:
+        events, snapshots = [], []
+        for root, patterns in self.excludes.items():
+            after = take_snapshot(
+                root, patterns, previous=self.before[root], stamp_prefix=self.stamp_prefix
+            )
+            snapshots.append(after)
+            events.extend(diff_snapshots(self.before[root], after))
+        if self.indexes is not None:
+            save_indexes(self.indexes, snapshots)
+        return events, snapshots
+
+
+class TraceBackend:
+    """Run the child under strace; the events are its opens in run order, kept inside
+    the watched roots (the rest enters only via the control channel) or of the control file."""
+
+    trace_order = True
+
+    def __init__(self, scratch: Path, cwd: Path, config: RunConfig) -> None:
+        self.trace_path = scratch / "trace"
+        self.cwd = cwd
+        self.watched = inside_roots(watched_roots(config, cwd))
+
+    def spawn_argv(self, command: list[str]) -> list[str]:
+        return ["strace", *_STRACE_ARGS, "-o", str(self.trace_path), *command]
+
+    def collect(self, control_path: Path) -> tuple[list[FileEvent], list[Snapshot]]:
+        with open(self.trace_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+            events = parse_trace_stream(handle, cwd=self.cwd)
+        return [e for e in events if e.path == control_path or self.watched(e.path)], []
+
+
+def select_backend(choice: str) -> type[DiffBackend | TraceBackend]:
+    """Return the class of a `--backend` choice; auto is trace where strace runs, else diff."""
+    if choice == "auto":
+        choice = "trace" if sys.platform.startswith("linux") and shutil.which("strace") else "diff"
+    return TraceBackend if choice == "trace" else DiffBackend
+
+
 def run(argv: list[str]) -> int:
     """Execute the full wrapper pipeline; returns the process exit code."""
     if "--" not in argv:
@@ -333,52 +401,23 @@ def run(argv: list[str]) -> int:
 
     logging.basicConfig(
         stream=sys.stderr,
-        level=logging.DEBUG if config.verbose else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         format="provwrap: %(levelname)s: %(message)s",
     )
 
     cwd = Path.cwd().resolve()
-    backend = select_backend(config)
     entry_script = detect_entry_script(command, cwd, config.source_extensions)
-    watch_roots = watched_roots(config, cwd)
-    excludes = {
-        root: exclusion_patterns(config, root, watch_roots) for root in watch_roots
-    }
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
         if not extra.is_dir():
             log.warning("watch directory does not exist, skipping: %s", extra)
-    indexes = index_directory() if backend is Backend.DIFF else None
-    if indexes is not None and inside_roots(watch_roots)(indexes):
-        indexes = None  # provwrap's own files never enter a snapshot
 
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
         # Resolved so trace events (which are resolved) compare equal to it.
         control_path = (Path(scratch) / "control").resolve()
         control_path.touch()
-        trace_path = Path(scratch) / "trace"
-
-        # The before-snapshot starts from the last run's after-snapshot, so
-        # only the files changed since are read; the after-snapshots are
-        # stamped too, so the files the child wrote can be reused next time.
-        stamp_prefix = f"{config.provenance_directory}_stamp-"
-        before: dict[Path, Snapshot] = {}
-        if backend is Backend.DIFF:
-            before = {
-                root: take_snapshot(
-                    root,
-                    excludes[root],
-                    previous=None
-                    if indexes is None
-                    else load_snapshot(index_file(indexes, root), root),
-                    stamp_prefix=stamp_prefix,
-                )
-                for root in watch_roots
-            }
-
-        spawn_argv = None
-        if backend is Backend.TRACE:
-            spawn_argv = ["strace", *_STRACE_ARGS, "-o", str(trace_path), *command]
+        backend = select_backend(args.backend)(Path(scratch), cwd, config)
+        spawn_argv = backend.spawn_argv(command)
 
         try:
             meta = capture_run(
@@ -387,42 +426,19 @@ def run(argv: list[str]) -> int:
                 spawn_argv=spawn_argv,
             )
         except OSError as exc:
-            target = (spawn_argv or command)[0]
-            print(f"error: cannot run {target!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot run {spawn_argv[0]!r}: {exc}", file=sys.stderr)
             return SPAWN_EXIT
         child_status = meta.exit_status
 
         try:
-            after_snapshots: list[Snapshot] = []
-            if backend is Backend.TRACE:
-                with open(trace_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-                    events = parse_trace_stream(handle, cwd=cwd)
-                # Auto-detection stays inside the watched roots; everything
-                # else enters provenance via the control channel only.
-                watched = inside_roots(watch_roots)
-                events = [
-                    event
-                    for event in events
-                    if event.path == control_path or watched(event.path)
-                ]
-            else:
-                events = []
-                for root in watch_roots:
-                    after = take_snapshot(
-                        root, excludes[root], previous=before[root], stamp_prefix=stamp_prefix
-                    )
-                    after_snapshots.append(after)
-                    events.extend(diff_snapshots(before[root], after))
-                if indexes is not None:
-                    save_indexes(indexes, after_snapshots)
-
+            events, snapshots = backend.collect(control_path)
             directives = parse_control_stream(read_control_lines(control_path))
 
             events, directives = unify_timeline(
                 events,
                 directives,
                 control_path,
-                trace_order=backend is Backend.TRACE,
+                trace_order=backend.trace_order,
                 cwd=cwd,
             )
             segments = classify(
@@ -431,7 +447,7 @@ def run(argv: list[str]) -> int:
                 config,
                 cwd,
                 entry_script=entry_script,
-                snapshots=after_snapshots,
+                snapshots=snapshots,
             )
 
             links: dict[tuple[str, int], Path] = {}  # this run's verified copies

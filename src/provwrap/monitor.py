@@ -623,31 +623,33 @@ _PATH_VERBS = {
 }
 
 
+def parse_control_line(line: str, index: int) -> ControlDirective | None:
+    """Parse one control-channel line (a trailing LF is ignored) at 0-based index.
+
+    Returns None for a blank line; raises ControlParseError naming the
+    1-based line number for an unknown verb or a missing path.
+    """
+    line = line[:-1] if line.endswith("\n") else line
+    if line == "":
+        return None
+    verb, sep, arg = line.partition("\t")
+    if verb == "END_RUN":
+        run_name = arg if sep and arg != "" else None
+        return ControlDirective(kind=DirectiveKind.END_RUN, run_name=run_name, seq=index)
+    if verb not in _PATH_VERBS:
+        raise ControlParseError(f"line {index + 1}: unknown verb {verb!r}")
+    if not sep or arg == "":
+        raise ControlParseError(f"line {index + 1}: {verb} requires a path")
+    return ControlDirective(kind=_PATH_VERBS[verb], path=arg, seq=index)
+
+
 def parse_control_stream(lines: Iterable[str]) -> list[ControlDirective]:
     """Parse control-channel lines: VERB<TAB>ARG, one directive per line.
 
     seq is the 0-based line index; blank lines are ignored but still
     consume an index. The channel is wholly under this tool's protocol, so
     any unknown verb or missing path is always an error naming the
-    (1-based) line number.
+    (1-based) line number (see `parse_control_line`).
     """
-    directives: list[ControlDirective] = []
-    for index, raw in enumerate(lines):
-        line = raw[:-1] if raw.endswith("\n") else raw
-        if line == "":
-            continue
-        verb, sep, arg = line.partition("\t")
-        if verb == "END_RUN":
-            run_name = arg if sep and arg != "" else None
-            directives.append(
-                ControlDirective(kind=DirectiveKind.END_RUN, run_name=run_name, seq=index)
-            )
-        elif verb in _PATH_VERBS:
-            if not sep or arg == "":
-                raise ControlParseError(f"line {index + 1}: {verb} requires a path")
-            directives.append(
-                ControlDirective(kind=_PATH_VERBS[verb], path=arg, seq=index)
-            )
-        else:
-            raise ControlParseError(f"line {index + 1}: unknown verb {verb!r}")
-    return directives
+    parsed = (parse_control_line(line, index) for index, line in enumerate(lines))
+    return [directive for directive in parsed if directive is not None]

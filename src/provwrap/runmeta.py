@@ -52,16 +52,17 @@ def parse_timestamp(text: str) -> datetime:
 
 
 def format_command(argv: Sequence[str]) -> str:
-    """Join argv into a single command-line string.
+    """Join argv into a single command-line string that `shlex.split` reads
+    back as argv.
 
-    Arguments containing whitespace or double quotes are wrapped in double
-    quotes with inner quotes backslash-escaped; everything else stays
-    verbatim.
+    An argument that is empty or contains whitespace, `"`, `'` or `\\` is
+    wrapped in double quotes, with `\\` and `"` backslash-escaped inside;
+    everything else stays verbatim.
     """
     parts = []
     for arg in argv:
-        if '"' in arg or any(ch.isspace() for ch in arg):
-            parts.append('"' + arg.replace('"', '\\"') + '"')
+        if arg == "" or any(ch.isspace() or ch in "\"'\\" for ch in arg):
+            parts.append('"' + arg.replace("\\", "\\\\").replace('"', '\\"') + '"')
         else:
             parts.append(arg)
     return " ".join(parts)

@@ -30,6 +30,7 @@ from provwrap import (
 )
 
 from provwrap.classify import inside_roots, watched_roots
+from provwrap.cli import build_arg_parser
 
 from conftest import make_meta, make_record
 
@@ -633,7 +634,7 @@ class TestRunConfigInvariants:
         assert config.create_rocrate is True
         assert config.input_copies is InputCopies.FULL
         assert config.skip_files_larger_than == 50
-        assert config.verbose is False
+        assert build_arg_parser().parse_args([]).verbose is False
 
 
 _COMPONENTS = st.sampled_from(["a", "ab", "b", "a.b", "work", "work2"])

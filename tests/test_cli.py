@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provwrap import (
-    Backend,
     ControlDirective,
     DirectiveKind,
     EventKind,
@@ -54,10 +53,10 @@ class TestFlagMapping:
         assert config.create_svg_file is False
         assert config.skip_files_larger_than == 50
         assert config.source_extensions == frozenset({".py"})
-        assert config.backend is Backend.AUTO
+        assert build_arg_parser().parse_args([]).backend == "auto"
 
     def test_each_flag_maps(self):
-        config = _parse_config(
+        args = build_arg_parser().parse_args(
             [
                 "--name", "fig3",
                 "--dir", "bundles",
@@ -77,6 +76,7 @@ class TestFlagMapping:
                 "--verbose",
             ]
         )
+        config = config_from_args(args)
         assert config.run_name == "fig3"
         assert config.provenance_directory == "bundles"
         assert config.prefix == "lab"
@@ -89,8 +89,8 @@ class TestFlagMapping:
         assert config.source_roots == ("helpers",)
         assert config.watch_dirs == (Path("/data"),)
         assert "*.log" in config.excludes
-        assert config.backend is Backend.DIFF
-        assert config.verbose is True
+        assert args.backend == "diff"
+        assert args.verbose is True
 
     def test_subset_wins_when_both_input_flags_are_given(self):
         assert _parse_config([]).input_copies is InputCopies.FULL
@@ -474,6 +474,23 @@ class TestRunEndToEnd:
         assert entity["yprov:logged_by"] == "user"
         assert any("control line 1" in r.getMessage() for r in caplog.records)
 
+    def test_rejected_control_line_loses_only_that_line(self, project, caplog):
+        (project / "a.csv").write_text("x\n1\n")
+        (project / "b.txt").write_text("result\n")
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            "    fh.write('INPUT\\ta.csv\\nBOGUS\\tx\\nOUTPUT\\tb.txt\\n')\n"
+        )
+        with caplog.at_level("WARNING"):
+            status = run(["--backend", "diff", "--", sys.executable, "-c", child])
+        assert status == 0
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "line 2" in warnings[0], warnings
+        payload = json.loads((project / "prov_0" / "provenance.json").read_bytes())
+        for key in ("yProv4DA:inputs/a.csv", "yProv4DA:outputs/b.txt"):
+            assert payload["entity"][key]["yprov:logged_by"] == "user"
+
 
     def test_missing_watch_directory_is_not_watched(self, project, caplog):
         nowhere = project.parent / "nowhere"
@@ -493,6 +510,72 @@ class TestRunEndToEnd:
         messages = [r.getMessage() for r in caplog.records]
         assert sum("watch directory does not exist" in m for m in messages) == 1
         assert sum("outside watched roots does not exist" in m for m in messages) == 1
+
+
+def _scripted_backend(calls, collect_error=None):
+    """A backend that records how `run` drives it and observes nothing."""
+
+    class Scripted:
+        trace_order = False
+
+        def __init__(self, scratch, cwd, config):
+            calls.append(("construct", (scratch / "control").is_file()))
+
+        def spawn_argv(self, command):
+            calls.append(("spawn_argv", command))
+            return command
+
+        def collect(self, control_path):
+            calls.append(("collect", Path("ran").is_file()))
+            if collect_error is not None:
+                raise collect_error
+            return [], []
+
+    return Scripted
+
+
+class TestBackendInterface:
+    def test_run_constructs_spawns_then_collects_once(self, project, monkeypatch):
+        calls = []
+        cli = importlib.import_module("provwrap.cli")
+        monkeypatch.setattr(cli, "select_backend", lambda choice: _scripted_backend(calls))
+        command = [sys.executable, "-c", "open('ran', 'w').close()"]
+        assert run(["--", *command]) == 0
+        # the control file exists before the backend; the child ran before collect
+        assert calls == [("construct", True), ("spawn_argv", command), ("collect", True)]
+        assert (project / "prov_0" / "provenance.json").is_file()
+
+    @pytest.mark.parametrize("child_status, expected", [(0, 3), (4, 4)])
+    def test_failing_collect_keeps_the_exit_code_contract(
+        self, project, monkeypatch, capsys, child_status, expected
+    ):
+        calls = []
+        backend = _scripted_backend(calls, collect_error=RuntimeError("collect broke"))
+        cli = importlib.import_module("provwrap.cli")
+        monkeypatch.setattr(cli, "select_backend", lambda choice: backend)
+        status = run(["--", sys.executable, "-c", f"raise SystemExit({child_status})"])
+        assert status == expected
+        assert "collect broke" in capsys.readouterr().err
+        assert [call[0] for call in calls] == ["construct", "spawn_argv", "collect"]
+        assert not (project / "prov_0").exists()
+
+    def test_trace_backend_spawns_strace_writing_into_the_scratch_directory(
+        self, project, monkeypatch
+    ):
+        spawned = []
+
+        def no_spawn(argv, env_overrides, spawn_argv=None):
+            spawned.append((Path(env_overrides["YPROV_CONTROL"]).parent, spawn_argv))
+            raise FileNotFoundError("not spawned in this test")
+
+        cli = importlib.import_module("provwrap.cli")
+        monkeypatch.setattr(cli, "capture_run", no_spawn)
+        command = [sys.executable, "examples/main.py"]
+        assert run(["--backend", "trace", "--", *command]) == 127
+        [(scratch, argv)] = spawned
+        prefix = ["strace", *cli._STRACE_ARGS, "-o"]
+        assert argv[: len(prefix)] == prefix and argv[len(prefix) + 1 :] == command
+        assert Path(argv[len(prefix)]).resolve() == scratch / "trace"
 
 
 _HASH_CHILD = textwrap.dedent(

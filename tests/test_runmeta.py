@@ -1,11 +1,14 @@
 """Metadata capture, timestamps, command quoting and git HEAD resolution."""
 
 import os
+import shlex
 import sys
 import time
 from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provwrap import (
     capture_run,
@@ -63,6 +66,20 @@ class TestFormatCommand:
     def test_deterministic(self):
         argv = ["a", "b c", 'd"e']
         assert format_command(argv) == format_command(list(argv))
+
+    @settings(max_examples=500)
+    @given(
+        argv=st.lists(
+            st.one_of(
+                st.sampled_from(["", '"', "'", "\\", " ", "\t", "a\\b.py", "it's", "ü ß", "\\\""]),
+                st.text(),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_shlex_reads_every_argv_back(self, argv):
+        assert shlex.split(format_command(argv)) == argv
 
 
 class TestResolveGitHead:
