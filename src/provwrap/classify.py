@@ -162,13 +162,16 @@ def exclusion_patterns(
 def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
     """Return cwd and each watch directory that exists (taken from cwd), resolved.
 
-    A watch directory at or under a root already listed is left out: that
-    root's snapshot already covers it, so no file is snapshotted twice.
+    A watch directory that does not exist is skipped with a warning. One at
+    or under a root already listed is left out: that root's snapshot
+    already covers it, so no file is snapshotted twice.
     """
     roots = [cwd]
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
-        if extra.is_dir() and not inside_roots(roots)(extra):
+        if not extra.is_dir():
+            log.warning("watch directory does not exist, skipping: %s", extra)
+        elif not inside_roots(roots)(extra):
             roots.append(extra)
     return roots
 
@@ -258,7 +261,7 @@ def _classify_group(
     cwd: Path,
     entry_script: Path | None,
     excluded: Callable[[Path], bool],
-    in_watched: Callable[[Path], bool],
+    named: set[Path],
     measure: Callable[[Path], tuple[int | None, str | None]],
     errors: list[str],
 ) -> tuple[list[ArtifactRecord], set[Path]]:
@@ -285,10 +288,8 @@ def _classify_group(
             if item.kind is DirectiveKind.UNTRACK:
                 state_for(path).untracked = True
                 continue
-            if not in_watched(path) and not path.exists():
-                errors.append(
-                    f"directive path outside watched roots does not exist: {item.path!r}"
-                )
+            if path not in named and not path.exists():
+                errors.append(f"directive path does not exist: {item.path!r}")
                 continue
             st = state_for(path)
             st.user_logged = True
@@ -389,7 +390,9 @@ def classify(
     removes that path's record entirely, and an UNTRACK in a later segment
     downgrades earlier copies of the path to metadata-only. Directive paths
     follow `directive_path`, and whether a path is excluded is decided once
-    per distinct path per call.
+    per distinct path per call. An INPUT or OUTPUT directive whose path does
+    not exist after the run, and that no event names, gives no record and
+    an error: it names no file the run touched.
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
@@ -414,7 +417,7 @@ def classify(
             verdicts[path] = matches_exclusion(rel or str(path), patterns)
         return verdicts[path]
 
-    in_watched = inside_roots(watched_roots(config, cwd))
+    named = {event.path for event in events}
     # this call's (size, sha256) per path; no sha256 when it is gone or unreadable
     measured: dict[Path, tuple[int | None, str | None]] = {}
 
@@ -470,7 +473,7 @@ def classify(
         taken_names.add(name)
         errors: list[str] = []
         records, untracked = _classify_group(
-            group, config, cwd, entry_script, excluded, in_watched, measure, errors
+            group, config, cwd, entry_script, excluded, named, measure, errors
         )
         # Late UNTRACK: this segment's untracks downgrade matching records
         # that earlier segments produced (they stay in provenance but are

@@ -407,10 +407,6 @@ def run(argv: list[str]) -> int:
 
     cwd = Path.cwd().resolve()
     entry_script = detect_entry_script(command, cwd, config.source_extensions)
-    for extra in config.watch_dirs:
-        extra = (cwd / extra).resolve()
-        if not extra.is_dir():
-            log.warning("watch directory does not exist, skipping: %s", extra)
 
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
         # Resolved so trace events (which are resolved) compare equal to it.

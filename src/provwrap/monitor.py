@@ -404,96 +404,53 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
 
 # --- trace transcript parsing -----------------------------------------------
 
-_OPEN_SYSCALLS = ("open", "openat", "creat")
+_QUOTED = r'"((?:[^"\\]|\\(?s:.))*)"'
+"""A strace-quoted string, its raw inner text captured. A backslash always
+takes the next character with it, so \\" never closes the string."""
+
+# [pid] open-family call, or its resumption; the last group is the call's text
+_LINE = re.compile(
+    r"(?:\[pid\s+(\d+)\]\s*|(\d+)\s+)?"
+    r"(?:(open|openat|creat)\(|<\.\.\.\s+(open|openat|creat)\s+resumed>\s*)(.*)",
+    re.DOTALL,
+)
+# A completed call's text: the first quoted path and the flags right after
+# it (either may be missing), then the return value.
+_COMPLETED = re.compile(
+    r'(?:[^"]*' + _QUOTED + r"(?:\s*,\s*([A-Za-z0-9_|]+))?)?"
+    r".*?\)\s*=\s*(-?\d+)(?:\s.*)?$",
+    re.DOTALL,
+)
+_UNFINISHED = "<unfinished ...>"
 _WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"}
-
-_PID_PREFIX = re.compile(r"^(?:\[pid\s+(\d+)\]\s*|(\d+)\s+)")
-_OPEN_CALL = re.compile(r"^(open|openat|creat)\(")
-_RESUMED = re.compile(r"^<\.\.\.\s+(\w+)\s+resumed>\s*(.*)$")
-_RETURN = re.compile(r"\)\s*=\s*(-?\d+)(?:\s+(.*))?$")
-_FLAGS_AFTER_PATH = re.compile(r"^\s*,\s*([A-Za-z0-9_|]+)")
-_UNFINISHED_SUFFIX = "<unfinished ...>"
-# A backslash always takes the next character with it, so \" never closes.
-_QUOTED = re.compile(r'"((?:[^"\\]|\\.)*)"', re.DOTALL)
-
-
-class _Malformed(Exception):
-    pass
+_ESCAPE = re.compile(rb"\\([0-7]{1,3}|.)", re.DOTALL)
+# escape -> byte, for \" \\ \f \n \r \t \v and each 1-3 digit octal spelling up to \377
+_ESCAPES = {name.encode(): char.encode() for name, char in zip('"\\fnrtv', '"\\\f\n\r\t\v')}
+_ESCAPES.update(
+    (f"{value:0{width}o}".encode(), bytes([value]))
+    for width in (1, 2, 3) for value in range(min(8**width, 256))
+)
 
 
 def _unescape_path(raw: str, lineno: int) -> str:
-    """Decode the backslash escapes a tracer puts inside quoted paths.
+    """Decode the escapes strace's string_quote puts inside a quoted path.
 
-    Handles \\" \\\\ \\n \\t and 3-digit octal byte escapes; anything else
-    passes through verbatim with a warning. Octal escapes are raw bytes, so
-    the result is assembled as bytes and decoded as UTF-8 with surrogate
-    escapes to stay lossless; raw undecodable bytes already carried as
-    surrogate escapes in raw round-trip the same way.
+    Handles \\" \\\\ \\f \\n \\r \\t \\v and octal escapes of 1 to 3 digits
+    (strace writes 3 only when an octal digit follows); any other escape,
+    and an octal value above \\377, passes through verbatim with a warning.
+    Octal escapes are raw bytes, so the result is decoded as UTF-8 with
+    surrogate escapes to stay lossless; raw undecodable bytes already
+    carried as surrogate escapes in raw round-trip the same way.
     """
-    out = bytearray()
-    i = 0
-    while i < len(raw):
-        ch = raw[i]
-        if ch != "\\":
-            out.extend(ch.encode("utf-8", errors="surrogateescape"))
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            out.extend(b"\\")
-            break
-        nxt = raw[i + 1]
-        if nxt == '"':
-            out.extend(b'"')
-            i += 2
-        elif nxt == "\\":
-            out.extend(b"\\")
-            i += 2
-        elif nxt == "n":
-            out.extend(b"\n")
-            i += 2
-        elif nxt == "t":
-            out.extend(b"\t")
-            i += 2
-        elif raw[i + 1 : i + 4].isdigit() and len(raw[i + 1 : i + 4]) == 3:
-            octal = raw[i + 1 : i + 4]
-            if all(c in "01234567" for c in octal):
-                out.append(int(octal, 8))
-                i += 4
-            else:
-                log.warning("trace line %d: unknown escape \\%s kept verbatim", lineno, octal)
-                out.extend(("\\" + octal).encode("utf-8", errors="surrogateescape"))
-                i += 4
-        else:
-            log.warning("trace line %d: unknown escape \\%s kept verbatim", lineno, nxt)
-            out.extend(("\\" + nxt).encode("utf-8", errors="surrogateescape"))
-            i += 2
-    return bytes(out).decode("utf-8", errors="surrogateescape")
 
+    def decode(escape: re.Match[bytes]) -> bytes:
+        if escape[1] not in _ESCAPES:
+            shown = escape[0].decode("utf-8", errors="backslashreplace")
+            log.warning("trace line %d: unknown escape %s kept verbatim", lineno, shown)
+        return _ESCAPES.get(escape[1], escape[0])
 
-def _take_quoted(text: str) -> tuple[str, int] | None:
-    """Return (raw inner text, index past closing quote) of the first quoted string."""
-    start = text.find('"')
-    if start < 0:
-        return None
-    quoted = _QUOTED.match(text, start)
-    if quoted is None:
-        return None
-    return quoted.group(1), quoted.end()
-
-
-def _parse_open_call(call: str, syscall: str) -> tuple[str, bool]:
-    """Extract (raw, still escaped path, write intent) from a completed open-family call."""
-    quoted = _take_quoted(call)
-    if quoted is None:
-        raise _Malformed(f"{syscall} call without a quoted path")
-    raw_path, end = quoted
-    if syscall == "creat":
-        return raw_path, True  # creat is open with O_CREAT|O_WRONLY|O_TRUNC
-    flags_match = _FLAGS_AFTER_PATH.match(call[end:])
-    if flags_match is None:
-        raise _Malformed(f"{syscall} call without flags after the path")
-    flags = set(flags_match.group(1).split("|"))
-    return raw_path, bool(flags & _WRITE_FLAGS)
+    data = raw.encode("utf-8", errors="surrogateescape")
+    return _ESCAPE.sub(decode, data).decode("utf-8", errors="surrogateescape")
 
 
 def parse_trace_stream(
@@ -504,14 +461,14 @@ def parse_trace_stream(
     """Turn a syscall tracer transcript into read/write intent events.
 
     Only successful open/openat/creat calls produce events; failed calls
-    (return -1) and all other lines are ignored. "<unfinished ...>" lines
-    are held and joined with their matching "resumed" line by (pid,
-    syscall) before parsing, so the event is ordered at the resume point.
-    In lenient mode (default) malformed open lines and unpaired resumed
-    lines are skipped with a warning; in strict mode they raise
-    TraceParseError naming the line number. When cwd is given, every path
-    is joined to it (absolute paths stay as they are) and resolved with
-    Path.resolve(), symlinked leaves included.
+    (return -1), directory opens (O_DIRECTORY) and all other lines are
+    ignored. "<unfinished ...>" lines are held and joined with their
+    matching "resumed" line by (pid, syscall) before parsing, so the event
+    is ordered at the resume point. In lenient mode (default) malformed
+    open lines and unpaired resumed lines are skipped with a warning; in
+    strict mode they raise TraceParseError naming the line number. When
+    cwd is given, every path is joined to it (absolute paths stay as they
+    are) and resolved with Path.resolve(), symlinked leaves included.
 
     Each distinct quoted path text is unescaped and resolved once per call
     and its Path shared by all its events, so the filesystem is consulted
@@ -528,61 +485,47 @@ def parse_trace_stream(
             raise TraceParseError(f"line {lineno}: {message}")
         log.warning("trace line %d skipped: %s", lineno, message)
 
-    def emit(call: str, syscall: str, pid: int | None, lineno: int) -> None:
-        returned = _RETURN.search(call)
-        if returned is None:
+    for lineno, raw in enumerate(lines, start=1):
+        line = _LINE.match(raw.strip())
+        if line is None:
+            continue  # not an open-family line
+        bracketed_pid, bare_pid, called, resumed, text = line.groups()
+        pid = int(bracketed_pid or bare_pid) if bracketed_pid or bare_pid else None
+        syscall = called or resumed
+        if resumed:
+            if (pid, syscall) not in pending:
+                problem(lineno, f"resumed {syscall} with no matching unfinished call")
+                continue
+            text = pending.pop((pid, syscall)) + text
+        elif text.endswith(_UNFINISHED):
+            pending[(pid, syscall)] = text[: -len(_UNFINISHED)].rstrip()
+            continue
+        call = _COMPLETED.match(text)
+        if call is None:
             problem(lineno, f"{syscall} call without a parsable return value")
-            return
-        if int(returned.group(1)) < 0:
-            return  # failed call
-        try:
-            raw_path, write_intent = _parse_open_call(call, syscall)
-        except _Malformed as exc:
-            problem(lineno, str(exc))
-            return
+            continue
+        raw_path, flags, returned = call.groups()
+        if int(returned) < 0:
+            continue  # failed call
+        if raw_path is None:
+            problem(lineno, f"{syscall} call without a quoted path")
+            continue
+        if syscall == "creat":
+            flags = "O_CREAT|O_WRONLY|O_TRUNC"  # what creat means
+        elif flags is None:
+            problem(lineno, f"{syscall} call without flags after the path")
+            continue
+        flag_set = set(flags.split("|"))
+        if "O_DIRECTORY" in flag_set:
+            continue  # listing a directory reads no file
         path = resolved.get(raw_path)
         if path is None:
             path = Path(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
             if cwd is not None:
                 path = (cwd / path).resolve()
             resolved[raw_path] = path
-        events.append(
-            FileEvent(
-                path=path,
-                kind=EventKind.WRITE_INTENT if write_intent else EventKind.READ_INTENT,
-                seq=len(events),
-                pid=pid,
-            )
-        )
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n").strip()
-        if not line:
-            continue
-        pid: int | None = None
-        prefix = _PID_PREFIX.match(line)
-        if prefix:
-            pid = int(prefix.group(1) or prefix.group(2))
-            line = line[prefix.end():]
-        resumed = _RESUMED.match(line)
-        if resumed:
-            syscall, rest = resumed.group(1), resumed.group(2)
-            if syscall not in _OPEN_SYSCALLS:
-                continue
-            key = (pid, syscall)
-            if key not in pending:
-                problem(lineno, f"resumed {syscall} with no matching unfinished call")
-                continue
-            emit(pending.pop(key) + rest, syscall, pid, lineno)
-            continue
-        call_start = _OPEN_CALL.match(line)
-        if call_start is None:
-            continue  # not an open-family line
-        syscall = call_start.group(1)
-        if line.endswith(_UNFINISHED_SUFFIX):
-            pending[(pid, syscall)] = line[: -len(_UNFINISHED_SUFFIX)].rstrip()
-            continue
-        emit(line, syscall, pid, lineno)
+        kind = EventKind.WRITE_INTENT if flag_set & _WRITE_FLAGS else EventKind.READ_INTENT
+        events.append(FileEvent(path=path, kind=kind, seq=len(events), pid=pid))
 
     for pid, syscall in pending:
         log.warning("unfinished %s call (pid %s) never resumed", syscall, pid)

@@ -237,6 +237,27 @@ class TestDirectiveErrors:
         assert segments[0].records == []
         assert any("does not exist" in e for e in segments[0].errors)
 
+    def test_missing_directive_path_inside_cwd_gives_no_record(self, workdir, config):
+        segments = classify(
+            [], [_directive(DirectiveKind.INPUT, "nope", 0)], config, workdir
+        )
+        assert segments[0].records == []
+        assert segments[0].errors == ["directive path does not exist: 'nope'"]
+
+    @pytest.mark.parametrize("kind", [EventKind.READ_INTENT, EventKind.REMOVED])
+    def test_directive_on_a_file_the_run_touched_stays_vanished(self, workdir, config, kind):
+        gone = workdir / "gone.csv"
+        segments = classify(
+            [_event(gone, kind, 1)],
+            [_directive(DirectiveKind.INPUT, "gone.csv", 0)],
+            config,
+            workdir,
+        )
+        [record] = segments[0].records
+        assert record.bundle_relative_path == "inputs/gone.csv"
+        assert record.skip_reason == "vanished"
+        assert segments[0].errors == []
+
     def test_classification_continues_after_errors(self, workdir, config):
         good = workdir / "fine.csv"
         good.write_text("1")

@@ -399,6 +399,12 @@ class TestRunEndToEnd:
         assert "yProv4DA:inputs/assets/results.csv" in payload["entity"]
         # interpreter/library reads outside the watched roots stay out
         assert not any("/usr/" in key for key in payload["entity"])
+        # every record names a file the run really read or wrote
+        assert not [
+            key
+            for key, attrs in payload["entity"].items()
+            if attrs.get("yprov:skip_reason") == "vanished"
+        ]
 
     def test_verbose_does_not_change_bundle_content(self, tmp_path, monkeypatch):
         results = {}
@@ -509,7 +515,7 @@ class TestRunEndToEnd:
         assert not [key for key in payload["entity"] if "x.csv" in key]
         messages = [r.getMessage() for r in caplog.records]
         assert sum("watch directory does not exist" in m for m in messages) == 1
-        assert sum("outside watched roots does not exist" in m for m in messages) == 1
+        assert sum("directive path does not exist" in m for m in messages) == 1
 
 
 def _scripted_backend(calls, collect_error=None):

@@ -1,14 +1,15 @@
 """Trace transcript parser tests against hand-annotated fixtures."""
 
 import os
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from provwrap import EventKind, TraceParseError, parse_trace_stream
-from provwrap.monitor import _take_quoted
+from provwrap import EventKind, RunConfig, TraceParseError, classify, parse_trace_stream
+from provwrap.monitor import _QUOTED
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,6 +56,22 @@ ANNOTATED_EVENTS = [
     ("post/blank.txt", READ, 12001),
 ]
 
+# Hand annotation of tests/fixtures/trace_escapes.txt: strace's string_quote
+# prints \f \r \v, and octal with 1 to 3 digits (3 only before an octal
+# digit); \777 is no byte and stays verbatim, and a directory open (the
+# O_DIRECTORY line) gives no event.
+ESCAPE_EVENTS = [
+    ("esc/carriage\rreturn.csv", READ, 4001),
+    ("esc/vertical\vtab.csv", READ, 4001),
+    ("esc/form\ffeed.csv", READ, 4001),
+    ("esc/one\x01.csv", READ, 4001),
+    ("esc/escape\x1bx.csv", READ, 4001),
+    ("esc/escape\x1b1.png", WRITE, 4001),
+    ("esc/café.csv", READ, 4002),
+    ("esc/bad\\777.csv", READ, 4001),
+    ("esc/ends\x01", READ, 4001),
+]
+
 
 def _read_fixture(name):
     with open(FIXTURES / name, encoding="utf-8") as handle:
@@ -91,6 +108,36 @@ def test_annotated_fixture_parses_identically_in_strict_mode():
     lenient = parse_trace_stream(_read_fixture("trace_annotated.txt"))
     strict = parse_trace_stream(_read_fixture("trace_annotated.txt"), strict=True)
     assert strict == lenient
+
+
+def test_escape_fixture_matches_hand_annotation_in_both_modes(caplog):
+    lenient = parse_trace_stream(_read_fixture("trace_escapes.txt"))
+    assert [(str(e.path), e.kind, e.pid) for e in lenient] == ESCAPE_EVENTS
+    assert parse_trace_stream(_read_fixture("trace_escapes.txt"), strict=True) == lenient
+    warnings = [r.getMessage() for r in caplog.records if "unknown escape" in r.getMessage()]
+    assert warnings == ["trace line 9: unknown escape \\777 kept verbatim"] * 2
+
+
+def test_out_of_range_octal_escape_is_kept_verbatim(caplog):
+    line = 'openat(AT_FDCWD, "bad\\777", O_RDONLY) = 3'
+    for strict in (False, True):
+        caplog.clear()
+        events = parse_trace_stream([line], strict=strict)
+        assert [str(e.path) for e in events] == ["bad\\777"]
+        assert sum("unknown escape" in r.getMessage() for r in caplog.records) == 1
+
+
+def test_directory_opens_give_no_record(tmp_path):
+    (tmp_path / "data").mkdir()
+    flags = "O_RDONLY|O_NONBLOCK|O_CLOEXEC|O_DIRECTORY"
+    lines = [
+        f'openat(AT_FDCWD, "{tmp_path}", {flags}) = 3',
+        f'openat(AT_FDCWD, "data", {flags}) = 4',
+    ]
+    events = parse_trace_stream(lines, strict=True, cwd=tmp_path)
+    assert events == []
+    segments = classify(events, [], RunConfig(), tmp_path)
+    assert [segment.records for segment in segments] == [[]]
 
 
 def test_seq_strictly_increases():
@@ -203,7 +250,7 @@ def test_undecodable_raw_byte_in_an_escaped_path_keeps_the_parse():
 
 
 def _scan_quoted(text):
-    """The character loop _take_quoted replaced, kept as its oracle."""
+    """The character loop the quoted-string pattern replaced, kept as its oracle."""
     start = text.find('"')
     if start < 0:
         return None
@@ -219,8 +266,10 @@ def _scan_quoted(text):
 
 
 @given(st.text(alphabet='"\\a,( \n\u00e9', max_size=14))
-def test_take_quoted_agrees_with_the_character_scan(text):
-    assert _take_quoted(text) == _scan_quoted(text)
+def test_quoted_pattern_agrees_with_the_character_scan(text):
+    # the parser takes the first quoted string of a call as its path
+    first = re.match('[^"]*' + _QUOTED, text)
+    assert (first and (first[1], first.end())) == _scan_quoted(text)
 
 
 # --- resolving each distinct path once ------------------------------------------
