@@ -74,8 +74,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.skip_files_larger_than <= 0:
             raise ValueError("skip_files_larger_than must be positive")
-        if not self.prefix:
-            raise ValueError("prefix must be non-empty")
+        if not self.run_name:
+            raise ValueError("run_name must be non-empty")
+        if not self.prefix or ":" in self.prefix:
+            raise ValueError("prefix must be non-empty and hold no colon")
         directory = self.provenance_directory
         if not directory or directory.startswith("/") or "/" in directory or "\\" in directory:
             raise ValueError(
@@ -199,32 +201,6 @@ def _relative_to_cwd(path: Path, cwd: Path) -> str | None:
         return None
 
 
-def _sanitize_external(path: Path) -> str:
-    return str(path).replace("/", "__")
-
-
-def _is_source_path(path: Path, rel: str | None, config: RunConfig) -> bool:
-    if path.suffix in config.source_extensions:
-        return True
-    if config.source_roots:
-        target = rel if rel is not None else str(path)
-        if matches_exclusion(target, config.source_roots):
-            return True
-    return False
-
-
-def _bundle_path(category: Category, rel: str | None, path: Path) -> str:
-    if rel is None:
-        return "inputs/_external/" + _sanitize_external(path)
-    top = {
-        Category.INPUT: "inputs",
-        Category.ENVIRONMENT: "inputs",
-        Category.OUTPUT: "outputs",
-        Category.SOURCE: "src",
-    }[category]
-    return f"{top}/{rel}"
-
-
 def _snapshot_entry(
     path: Path, snapshots: Sequence[Snapshot]
 ) -> tuple[int, float, str] | None:
@@ -239,135 +215,58 @@ def _snapshot_entry(
     return None
 
 
-def _finish_record(
-    record: ArtifactRecord, config: RunConfig, measured: tuple[int | None, str | None]
-) -> ArtifactRecord:
-    record.size_bytes, record.sha256 = measured
-    if record.sha256 is None:
-        record.copied = False
-        record.skip_reason = "vanished"
-        return record
-    if record.category is Category.INPUT and config.input_copies is not InputCopies.FULL:
-        record.copied = False
-        record.skip_reason = config.input_copies.value
-    if record.copied:
-        record = apply_size_threshold(record, config.skip_files_larger_than)
-    return record
-
-
-def _classify_group(
-    items: Sequence[ControlDirective | FileEvent],
+def _record(
+    path: Path,
+    st: _PathState,
     config: RunConfig,
     cwd: Path,
     entry_script: Path | None,
-    excluded: Callable[[Path], bool],
-    named: set[Path],
-    measure: Callable[[Path], tuple[int | None, str | None]],
-    errors: list[str],
-) -> tuple[list[ArtifactRecord], set[Path]]:
-    """Classify one segment; return its records and the paths it untracks."""
-    states: dict[Path, _PathState] = {}
-    order: list[Path] = []
+    measured: tuple[int | None, str | None],
+) -> ArtifactRecord:
+    """Build path's record: its category, bundle path and copy decision.
 
-    def state_for(path: Path) -> _PathState:
-        if path not in states:
-            states[path] = _PathState()
-            order.append(path)
-        return states[path]
-
-    for item in items:
-        if isinstance(item, ControlDirective):
-            path = directive_path(item, cwd)
-            if path is None:  # END_RUN never reaches a segment
-                errors.append(
-                    f"directive path contains TAB/LF and was ignored: {item.path!r}"
-                )
-                continue
-            if excluded(path):
-                continue
-            if item.kind is DirectiveKind.UNTRACK:
-                state_for(path).untracked = True
-                continue
-            if path not in named and not path.exists():
-                errors.append(f"directive path does not exist: {item.path!r}")
-                continue
-            st = state_for(path)
-            st.user_logged = True
-            if item.kind is DirectiveKind.INPUT:
-                st.read_seen = True
-            else:
-                st.write_seen = True
-        else:
-            path = item.path
-            if excluded(path):
-                continue
-            st = state_for(path)
-            if item.kind is EventKind.READ_INTENT:
-                st.read_seen = True
-            elif item.kind in (
-                EventKind.WRITE_INTENT,
-                EventKind.CREATED,
-                EventKind.MODIFIED,
-            ):
-                st.write_seen = True
-            elif item.kind is EventKind.REMOVED:
-                st.write_seen = False  # transient file: discard pending output
-
-    records: list[ArtifactRecord] = []
-
-    def emit(path: Path, st: _PathState) -> None:
-        try:
-            str(path).encode("utf-8")
-        except UnicodeEncodeError:
-            errors.append(f"path is not valid UTF-8 and was not recorded: {str(path)!r}")
-            return
-        rel = _relative_to_cwd(path, cwd)
-        is_entry = entry_script is not None and path == entry_script
-        is_environment = rel == "requirements.txt"
-        if is_environment:
-            category = Category.ENVIRONMENT
-        elif is_entry or (st.read_seen and _is_source_path(path, rel, config)):
-            category = Category.SOURCE
-        elif st.read_seen:
-            category = Category.INPUT
-        else:
-            category = Category.OUTPUT
-        also_generated = st.write_seen and category is not Category.OUTPUT
-        record = ArtifactRecord(
-            original_path=path,
-            bundle_relative_path=_bundle_path(category, rel, path),
-            category=category,
-            also_generated=also_generated,
-            logged_by=LoggedBy.USER if st.user_logged else LoggedBy.AUTO,
-        )
-        records.append(_finish_record(record, config, measure(path)))
-
-    for path in order:
-        st = states[path]
-        if st.untracked or not (st.read_seen or st.write_seen):
-            continue
-        emit(path, st)
-
-    # The entry script and a top-level requirements.txt are recorded in
-    # every segment (unless untracked): each bundle must be re-executable
-    # on its own, and the diff backend cannot observe reads.
-    forced: list[Path] = []
-    if entry_script is not None:
-        forced.append(entry_script)
-    requirements = cwd / "requirements.txt"
-    if requirements.is_file():
-        # deliberately unresolved: a symlinked manifest still classifies as
-        # the working directory's environment record
-        forced.append(requirements)
-    for path in forced:
-        st = states.get(path)
-        if st is not None and (st.untracked or st.read_seen or st.write_seen):
-            continue  # already emitted, or untracked
-        if excluded(path):
-            continue
-        emit(path, st or _PathState())
-
-    return records, {path for path, st in states.items() if st.untracked}
+    Every copy decision made at classify time is made here: a file without
+    a digest (gone or unreadable after the run) is `vanished`, an input
+    follows `config.input_copies`, and any other file above the size limit
+    is metadata-only.
+    """
+    rel = _relative_to_cwd(path, cwd)
+    if rel == "requirements.txt":
+        category = Category.ENVIRONMENT
+    elif path == entry_script or st.read_seen and (
+        path.suffix in config.source_extensions
+        or config.source_roots
+        and matches_exclusion(rel or str(path), config.source_roots)
+    ):
+        category = Category.SOURCE
+    elif st.read_seen:
+        category = Category.INPUT
+    else:
+        category = Category.OUTPUT
+    if rel is None:
+        bundle_path = "inputs/_external/" + str(path).replace("/", "__")
+    else:
+        top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}.get(category, "inputs")
+        bundle_path = f"{top}/{rel}"
+    size, sha256 = measured
+    record = ArtifactRecord(
+        original_path=path,
+        bundle_relative_path=bundle_path,
+        category=category,
+        also_generated=st.write_seen and category is not Category.OUTPUT,
+        logged_by=LoggedBy.USER if st.user_logged else LoggedBy.AUTO,
+        sha256=sha256,
+        size_bytes=size,
+    )
+    if sha256 is None:
+        record.copied = False
+        record.skip_reason = "vanished"
+    elif category is Category.INPUT and config.input_copies is not InputCopies.FULL:
+        record.copied = False
+        record.skip_reason = config.input_copies.value
+    else:
+        record = apply_size_threshold(record, config.skip_files_larger_than)
+    return record
 
 
 def classify(
@@ -390,9 +289,9 @@ def classify(
     removes that path's record entirely, and an UNTRACK in a later segment
     downgrades earlier copies of the path to metadata-only. Directive paths
     follow `directive_path`, and whether a path is excluded is decided once
-    per distinct path per call. An INPUT or OUTPUT directive whose path does
-    not exist after the run, and that no event names, gives no record and
-    an error: it names no file the run touched.
+    per distinct path per call. An INPUT or OUTPUT directive whose path is
+    not a regular file after the run, and that no event names, gives no
+    record and an error: it names no file the run touched.
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
@@ -442,47 +341,90 @@ def classify(
                     measured[path] = (size, None)
         return measured[path]
 
-    timeline: list[tuple[int, int, int, ControlDirective | FileEvent]] = sorted(
+    timeline = sorted(
         [(d.seq, 0, i, d) for i, d in enumerate(directives)]
         + [(e.seq, 1, i, e) for i, e in enumerate(events)],
         key=lambda entry: entry[:3],
     )
+    # The entry script and a top-level requirements.txt are recorded in
+    # every segment (unless untracked): each bundle must be re-executable
+    # on its own, and the diff backend cannot observe reads.
+    forced = [entry_script] if entry_script is not None else []
+    requirements = cwd / "requirements.txt"
+    if requirements.is_file():
+        # deliberately unresolved: a symlinked manifest still classifies as
+        # the working directory's environment record
+        forced.append(requirements)
 
-    groups: list[list[ControlDirective | FileEvent]] = []
-    explicit_names: list[str | None] = []
-    current: list[ControlDirective | FileEvent] = []
-    for _, _, _, item in timeline:
-        if isinstance(item, ControlDirective) and item.kind is DirectiveKind.END_RUN:
-            groups.append(current)
-            explicit_names.append(item.run_name)
-            current = []
-        else:
-            current.append(item)
-    groups.append(current)
-    explicit_names.append(None)
-
-    taken_names: set[str] = set()
     segments: list[RunSegment] = []
-    for index, (group, explicit) in enumerate(zip(groups, explicit_names)):
-        if explicit:
-            name = explicit
+    states: dict[Path, _PathState] = {}  # this segment's paths, first mention first
+    errors: list[str] = []
+    # None closes the last segment, which exists even when it is empty
+    for item in [entry[3] for entry in timeline] + [None]:
+        if isinstance(item, FileEvent):
+            if excluded(item.path):
+                continue
+            st = states.setdefault(item.path, _PathState())
+            if item.kind is EventKind.READ_INTENT:
+                st.read_seen = True
+            elif item.kind is EventKind.REMOVED:
+                st.write_seen = False  # transient file: discard pending output
+            else:
+                st.write_seen = True
+        elif item is not None and item.kind is not DirectiveKind.END_RUN:
+            path = directive_path(item, cwd)
+            if path is None:
+                errors.append(
+                    f"directive path contains TAB/LF and was ignored: {item.path!r}"
+                )
+            elif excluded(path):
+                continue
+            elif item.kind is DirectiveKind.UNTRACK:
+                states.setdefault(path, _PathState()).untracked = True
+            elif path not in named and not path.is_file():
+                problem = "is not a regular file" if path.exists() else "does not exist"
+                errors.append(f"directive path {problem}: {item.path!r}")
+            else:
+                st = states.setdefault(path, _PathState())
+                st.user_logged = True
+                if item.kind is DirectiveKind.INPUT:
+                    st.read_seen = True
+                else:
+                    st.write_seen = True
         else:
-            name = config.run_name if index == 0 else f"{config.run_name}_{index}"
-        while name in taken_names:
-            name = f"{name}_{index}"
-        taken_names.add(name)
-        errors: list[str] = []
-        records, untracked = _classify_group(
-            group, config, cwd, entry_script, excluded, named, measure, errors
-        )
-        # Late UNTRACK: this segment's untracks downgrade matching records
-        # that earlier segments produced (they stay in provenance but are
-        # not copied).
-        for earlier in segments:
-            for record in earlier.records:
-                if record.original_path in untracked and record.copied:
-                    record.copied = False
-                    record.skip_reason = "untracked_late"
-        segments.append(RunSegment(name=name, records=records, errors=errors))
+            # END_RUN or the end of the timeline: records follow first
+            # mention, then each forced path not recorded nor untracked.
+            paths = [path for path, st in states.items() if st.read_seen or st.write_seen]
+            paths += [path for path in forced if path not in paths and not excluded(path)]
+            records: list[ArtifactRecord] = []
+            for path in paths:
+                st = states.get(path) or _PathState()
+                if st.untracked:
+                    continue
+                try:
+                    str(path).encode("utf-8")
+                except UnicodeEncodeError:
+                    errors.append(
+                        f"path is not valid UTF-8 and was not recorded: {str(path)!r}"
+                    )
+                    continue
+                records.append(_record(path, st, config, cwd, entry_script, measure(path)))
+            # Late UNTRACK: this segment's untracks downgrade matching records
+            # that earlier segments produced (they stay in provenance but are
+            # not copied).
+            untracked = {path for path, st in states.items() if st.untracked}
+            for earlier in segments:
+                for record in earlier.records:
+                    if record.original_path in untracked and record.copied:
+                        record.copied = False
+                        record.skip_reason = "untracked_late"
+            index = len(segments)
+            name = item.run_name if item is not None else None
+            if not name:
+                name = config.run_name if index == 0 else f"{config.run_name}_{index}"
+            while any(segment.name == name for segment in segments):
+                name = f"{name}_{index}"
+            segments.append(RunSegment(name=name, records=records, errors=errors))
+            states, errors = {}, []
 
     return segments

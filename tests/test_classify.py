@@ -3,12 +3,14 @@
 import dataclasses
 import hashlib
 import importlib
+import os
 import random
+import tempfile
 from collections import Counter
-from pathlib import PurePosixPath
+from pathlib import Path, PurePosixPath
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from provwrap import (
@@ -243,6 +245,17 @@ class TestDirectiveErrors:
         )
         assert segments[0].records == []
         assert segments[0].errors == ["directive path does not exist: 'nope'"]
+
+    @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
+    def test_directive_on_something_not_a_regular_file_gives_no_record(
+        self, workdir, config, make
+    ):
+        make(workdir / "assets")
+        segments = classify(
+            [], [_directive(DirectiveKind.INPUT, "assets", 0)], config, workdir
+        )
+        assert segments[0].records == []
+        assert segments[0].errors == ["directive path is not a regular file: 'assets'"]
 
     @pytest.mark.parametrize("kind", [EventKind.READ_INTENT, EventKind.REMOVED])
     def test_directive_on_a_file_the_run_touched_stays_vanished(self, workdir, config, kind):
@@ -643,6 +656,11 @@ class TestRunConfigInvariants:
         with pytest.raises(ValueError):
             RunConfig(provenance_directory="/abs")
 
+    @pytest.mark.parametrize("values", [{"run_name": ""}, {"prefix": "a:b"}])
+    def test_empty_run_name_and_prefix_with_colon_rejected(self, values):
+        with pytest.raises(ValueError):
+            RunConfig(**values)
+
     def test_defaults_match_contract(self):
         config = RunConfig()
         assert config.run_name == "experiment_run"
@@ -680,3 +698,199 @@ def test_inside_roots_rejects_a_sibling_sharing_the_prefix():
     assert inside(PurePosixPath("/data/work/x.csv"))
     assert not inside(PurePosixPath("/data/work2/x.csv"))
     assert not inside(PurePosixPath("/data"))
+
+
+# --- reference model ---------------------------------------------------------
+#
+# The model states classify's rules as set algebra over one segment at a time,
+# with no per-path state machine: `read` holds the paths read, `written` the
+# paths whose last write-kind item is not REMOVED, `logged` the paths a
+# directive logged and `untracked` the paths untracked. A segment records
+# (read | written) - untracked in first-mention order, then each forced path
+# (the entry script, an existing requirements.txt) outside all three; an
+# UNTRACK in a later segment downgrades an earlier copied record.
+
+# Names below the working directory; "../elsewhere.csv" lies outside it, and
+# "bad\udcff.csv" is a file name that is not UTF-8 (byte 0xff).
+_UNIVERSE = (
+    "data.csv", "lib.py", "main.py", "requirements.txt", "prov_0/x.png",
+    "../elsewhere.csv", "tab\tname.csv", "bad\udcff.csv",
+)
+_EXCLUDED = "prov_0/x.png"
+_ENTRY = "main.py"
+_WRITE_KINDS = (EventKind.WRITE_INTENT, EventKind.CREATED, EventKind.MODIFIED)
+
+_SEQS = st.integers(0, 6)  # few values, so seqs tie often
+_ITEMS = st.one_of(
+    st.tuples(st.just("event"), st.sampled_from(list(EventKind)),
+              st.sampled_from(_UNIVERSE), _SEQS),
+    st.tuples(st.just("directive"),
+              st.sampled_from([DirectiveKind.INPUT, DirectiveKind.OUTPUT,
+                               DirectiveKind.UNTRACK]),
+              st.sampled_from(_UNIVERSE), st.booleans(), _SEQS),
+    st.tuples(st.just("end"), st.sampled_from([None, "phase", "experiment_run_1"]),
+              _SEQS),
+)
+
+
+def _model(items, kinds, with_entry, input_copies, big, cwd):
+    """Reference segments: [(name, errors, [record fields, ...]), ...]."""
+    path_of = {name: (cwd / name).resolve() for name in _UNIVERSE}
+    name_of = {path: name for name, path in path_of.items()}
+    named = {path_of[item[2]] for item in items if item[0] == "event"}
+    merged = sorted(
+        range(len(items)),
+        key=lambda k: (items[k][-1], items[k][0] == "event", k),
+    )
+    segments, current, ends = [], [], []
+    for k in merged:
+        if items[k][0] == "end":
+            segments.append(current)
+            ends.append(items[k][1])
+            current = []
+        else:
+            current.append(items[k])
+    segments.append(current)
+    ends.append(None)
+
+    forced = [_ENTRY] if with_entry else []
+    if kinds["requirements.txt"] == "file":
+        forced.append("requirements.txt")
+    out, untracked_by_segment = [], []
+    for segment in segments:
+        errors, mentioned, read, logged, untracked = [], [], set(), set(), set()
+        last_write = {}
+        for item in segment:
+            if item[0] == "event":
+                _, kind, name, _ = item
+            else:
+                _, kind, name, absolute, _ = item
+                spelling = str(path_of[name]) if absolute else name
+                if "\t" in spelling:
+                    errors.append(
+                        f"directive path contains TAB/LF and was ignored: {spelling!r}"
+                    )
+                    continue
+            if name == _EXCLUDED:
+                continue
+            if kind is DirectiveKind.UNTRACK:
+                untracked.add(name)
+                continue
+            if isinstance(kind, DirectiveKind):
+                if path_of[name] not in named and kinds[name] != "file":
+                    problem = "does not exist" if kinds[name] == "missing" else (
+                        "is not a regular file"
+                    )
+                    errors.append(f"directive path {problem}: {spelling!r}")
+                    continue
+                logged.add(name)
+            mentioned.append(name)
+            if kind in (EventKind.READ_INTENT, DirectiveKind.INPUT):
+                read.add(name)
+            elif kind in (*_WRITE_KINDS, DirectiveKind.OUTPUT, EventKind.REMOVED):
+                last_write[name] = kind
+        written = {name for name, kind in last_write.items() if kind is not EventKind.REMOVED}
+        chosen = list(dict.fromkeys(
+            name for name in mentioned if name in (read | written) - untracked
+        ))
+        chosen += [name for name in forced if name not in read | written | untracked]
+
+        records = []
+        for name in chosen:
+            path = path_of[name]
+            if "\udcff" in name:
+                errors.append(f"path is not valid UTF-8 and was not recorded: {str(path)!r}")
+                continue
+            if name == "requirements.txt":
+                category = Category.ENVIRONMENT
+            elif (with_entry and name == _ENTRY) or (name in read and name.endswith(".py")):
+                category = Category.SOURCE
+            elif name in read:
+                category = Category.INPUT
+            else:
+                category = Category.OUTPUT
+            if name.startswith("../"):
+                bundle_path = "inputs/_external/" + str(path).replace("/", "__")
+            else:
+                top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}
+                bundle_path = f"{top.get(category, 'inputs')}/{name}"
+            if kinds[name] != "file":
+                copied, reason = False, "vanished"
+            elif category is Category.INPUT and input_copies is not InputCopies.FULL:
+                copied, reason = False, input_copies.value
+            elif name == "data.csv" and big:
+                copied, reason = False, "size_threshold"
+            else:
+                copied, reason = True, None
+            records.append([
+                path, bundle_path, category, name in written and category is not Category.OUTPUT,
+                LoggedBy.USER if name in logged else LoggedBy.AUTO, copied, reason,
+            ])
+        out.append((errors, records))
+        untracked_by_segment.append(untracked)
+
+    result, names = [], []
+    for index, ((errors, records), explicit) in enumerate(zip(out, ends)):
+        name = explicit or ("experiment_run" if index == 0 else f"experiment_run_{index}")
+        while name in names:
+            name += f"_{index}"
+        names.append(name)
+        later = set().union(*untracked_by_segment[index + 1:])
+        for record in records:
+            if record[5] and name_of[record[0]] in later:
+                record[5:] = [False, "untracked_late"]
+        result.append((name, errors, [tuple(record[1:]) for record in records]))
+    return result
+
+
+@given(
+    items=st.lists(_ITEMS, max_size=12),
+    kinds=st.fixed_dictionaries(
+        {name: st.sampled_from(["file", "missing", "directory"]) for name in _UNIVERSE}
+    ),
+    with_entry=st.booleans(),
+    input_copies=st.sampled_from(list(InputCopies)),
+    big=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_classify_agrees_with_the_reference_model(
+    items, kinds, with_entry, input_copies, big
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = (Path(tmp) / "work").resolve()
+        cwd.mkdir()
+        for name, kind in kinds.items():
+            path = cwd / name
+            path.parent.mkdir(parents=True, exist_ok=True)
+            if kind == "directory":
+                path.mkdir()
+            elif kind == "file":
+                size = 1_000_001 if name == "data.csv" and big else len(name)
+                path.write_bytes(b"x" * size)
+        events, directives = [], []
+        for item in items:
+            if item[0] == "event":
+                _, kind, name, seq = item
+                events.append(_event((cwd / name).resolve(), kind, seq))
+            elif item[0] == "directive":
+                _, kind, name, absolute, seq = item
+                spelling = str((cwd / name).resolve()) if absolute else name
+                directives.append(_directive(kind, spelling, seq))
+            else:
+                directives.append(_directive(DirectiveKind.END_RUN, seq=item[2], run_name=item[1]))
+        config = RunConfig(input_copies=input_copies, skip_files_larger_than=1)
+        entry = cwd / _ENTRY if with_entry else None
+        segments = classify(events, directives, config, cwd, entry_script=entry)
+        actual = [
+            (
+                segment.name,
+                segment.errors,
+                [
+                    (r.bundle_relative_path, r.category, r.also_generated, r.logged_by,
+                     r.copied, r.skip_reason)
+                    for r in segment.records
+                ],
+            )
+            for segment in segments
+        ]
+        assert actual == _model(items, kinds, with_entry, input_copies, big, cwd)

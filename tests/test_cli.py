@@ -318,6 +318,20 @@ class TestRunEndToEnd:
         assert run(["--max-file-mb", "0", "--", "true"]) == 2
         assert "positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--name", ""], "run_name must be non-empty"), (["--prefix", "a:b"], "colon")],
+    )
+    def test_unusable_name_or_prefix_is_usage_error_before_the_child_runs(
+        self, project, capsys, flags, message
+    ):
+        child = "open('ran', 'w').close()"
+        status = run([*flags, "--backend", "diff", "--", sys.executable, "-c", child])
+        assert status == 2
+        assert message in capsys.readouterr().err
+        assert not (project / "ran").exists()
+        assert not list(project.glob("prov_*"))
+
     def test_unspawnable_command(self, project, capsys):
         status = run(["--", "definitely-not-a-real-binary-zzz"])
         assert status == 127
