@@ -289,9 +289,11 @@ def classify(
     removes that path's record entirely, and an UNTRACK in a later segment
     downgrades earlier copies of the path to metadata-only. Directive paths
     follow `directive_path`, and whether a path is excluded is decided once
-    per distinct path per call. An INPUT or OUTPUT directive whose path is
-    not a regular file after the run, and that no event names, gives no
-    record and an error: it names no file the run touched.
+    per distinct path per call. A path that exists after the run but is not
+    a regular file (a directory, FIFO or device) gives no record, with an
+    error when a directive logged it; an INPUT or OUTPUT directive whose
+    path does not exist, and that no event names, gives no record and an
+    error: it names no file the run touched.
 
     A record whose file is listed in one of snapshots (looked up by its path
     relative to the snapshot root) takes size and sha256 from that entry;
@@ -317,10 +319,11 @@ def classify(
         return verdicts[path]
 
     named = {event.path for event in events}
-    # this call's (size, sha256) per path; no sha256 when it is gone or unreadable
-    measured: dict[Path, tuple[int | None, str | None]] = {}
+    # this call's (size, sha256) per path; no sha256 when it is gone or
+    # unreadable, and None when it exists but is not a regular file
+    measured: dict[Path, tuple[int | None, str | None] | None] = {}
 
-    def measure(path: Path) -> tuple[int | None, str | None]:
+    def measure(path: Path) -> tuple[int | None, str | None] | None:
         # Every record is measured after the child has exited, so one
         # answer per path serves all of its records.
         if path not in measured:
@@ -330,7 +333,7 @@ def classify(
                 # checks the copy against it, so a later change is caught
                 measured[path] = (entry[0], entry[2])
             elif not path.is_file():
-                measured[path] = (None, None)
+                measured[path] = None if path.exists() else (None, None)
             else:
                 size = None
                 try:
@@ -381,9 +384,8 @@ def classify(
                 continue
             elif item.kind is DirectiveKind.UNTRACK:
                 states.setdefault(path, _PathState()).untracked = True
-            elif path not in named and not path.is_file():
-                problem = "is not a regular file" if path.exists() else "does not exist"
-                errors.append(f"directive path {problem}: {item.path!r}")
+            elif path not in named and not path.exists():
+                errors.append(f"directive path does not exist: {item.path!r}")
             else:
                 st = states.setdefault(path, _PathState())
                 st.user_logged = True
@@ -408,7 +410,13 @@ def classify(
                         f"path is not valid UTF-8 and was not recorded: {str(path)!r}"
                     )
                     continue
-                records.append(_record(path, st, config, cwd, entry_script, measure(path)))
+                size_and_digest = measure(path)
+                if size_and_digest is None:
+                    if st.user_logged:
+                        shown = _relative_to_cwd(path, cwd) or str(path)
+                        errors.append(f"directive path is not a regular file: {shown!r}")
+                    continue
+                records.append(_record(path, st, config, cwd, entry_script, size_and_digest))
             # Late UNTRACK: this segment's untracks downgrade matching records
             # that earlier segments produced (they stay in provenance but are
             # not copied).

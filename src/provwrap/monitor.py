@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from stat import S_ISREG
-from time import time_ns
 from typing import BinaryIO, Iterable, Sequence
 
 from .errors import ControlParseError, TraceParseError
@@ -88,31 +87,45 @@ class FileEvent:
     pid: int | None = None
 
 
-RACY_MARGIN_NS = 2_000_000_000
-"""How much older than the previous snapshot's start a file's ctime must be
-before that snapshot's digest is reused, when the snapshot has no stamp. A
-change within one timestamp tick of the earlier stat can leave size, mtime
-and ctime all equal; git's "racily clean" rule, with room for filesystems
-with coarse timestamps."""
-
-
 @dataclass(frozen=True)
 class Snapshot:
     """Recursive listing of regular files under root.
 
     entries maps each relative path to (size, mtime, sha256). stat_keys maps
-    it to (st_ctime_ns, st_ino) as stat'ed before hashing. started_ns is the
-    wall-clock time the walk began, and stamp_ns the ctime of a stamp file
-    created in root just before the walk (None when there was none). The
-    last three only decide whether a later snapshot of the same root may
-    reuse a digest.
+    it to (st_ctime_ns, st_ino) as stat'ed before hashing, and stamp_ns is
+    the ctime of a stamp file created in root just before the walk (None
+    when there was none). The last two only decide, by unchanged_since,
+    whether a later snapshot of the same root may reuse a digest; a
+    snapshot without a stamp lends none.
     """
 
     root: Path
     entries: dict[str, tuple[int, float, str]]
     stat_keys: dict[str, tuple[int, int]] = field(default_factory=dict)
-    started_ns: int = 0
     stamp_ns: int | None = None
+
+
+def unchanged_since(
+    st: os.stat_result,
+    key: tuple[int, int] | None,
+    entry: tuple[int, float, str] | None,
+    stamp_ns: int | None,
+) -> bool:
+    """True when st is still the file an earlier stat recorded as key and
+    entry, so that entry's digest may be reused.
+
+    Size, mtime and (st_ctime_ns, st_ino) must be unchanged, and the ctime
+    strictly older than stamp_ns, the ctime of a stamp file made after that
+    stat: one filesystem clock, as in git's "racily clean" rule. A change in
+    the stamp's own tick can leave every stat field equal, so a tie is never
+    trusted; without a stamp, nothing is.
+    """
+    return (
+        stamp_ns is not None
+        and key == (st.st_ctime_ns, st.st_ino)
+        and st.st_ctime_ns < stamp_ns
+        and entry[:2] == (st.st_size, st.st_mtime)
+    )
 
 
 def _stamp_ctime_ns(root: Path, prefix: str) -> int | None:
@@ -120,7 +133,7 @@ def _stamp_ctime_ns(root: Path, prefix: str) -> int | None:
     try:
         fd, name = tempfile.mkstemp(prefix=prefix, dir=root)
     except OSError as exc:
-        log.debug("no ctime stamp in %s, using the wall-clock margin: %s", root, exc)
+        log.debug("no ctime stamp in %s, so no digest of it is reused: %s", root, exc)
         return None
     try:
         return os.fstat(fd).st_ctime_ns
@@ -138,87 +151,61 @@ def take_snapshot(
     """Hash every regular file under root, skipping exclusion matches.
 
     Given previous, an earlier snapshot of the same root, a file keeps its
-    previous digest without being read again when its size, mtime and
-    (st_ctime_ns, st_ino) are all unchanged and its ctime is either strictly
-    older than previous.stamp_ns or at least RACY_MARGIN_NS older than
-    previous.started_ns; every other file is hashed. The stamp compares two
-    times of the same filesystem clock, so a file written just before the
-    earlier snapshot is reusable as soon as its ctime tick has passed; a
-    change in the stamp's own tick is never reused.
+    previous digest without being read again when unchanged_since holds for
+    it and previous.stamp_ns; every other file is hashed, and every file is
+    when previous has no stamp. A file written just before the earlier
+    snapshot is reusable as soon as its ctime tick has passed.
 
     With stamp_prefix, the stamp is a file named stamp_prefix + a random
     suffix, created in root before the walk and unlinked at once; pick a
     prefix the excludes match, so a concurrent walk skips it. When root is
-    not writable the snapshot has no stamp and only the wall-clock margin
-    applies. Unreadable files are skipped with a warning; they never abort
-    the snapshot. Symlinked directories are not followed. previous may be
-    an earlier run's snapshot, saved with save_snapshot and read back with
-    load_snapshot: the same rule decides every reuse.
+    not writable the snapshot has no stamp, and the next snapshot reads
+    every file again. Unreadable files are skipped with a warning; they
+    never abort the snapshot. Symlinked directories are not followed.
+    previous may be an earlier run's snapshot, saved with save_snapshot and
+    read back with load_snapshot: the same rule decides every reuse.
     """
     root = Path(root).resolve()
     if not root.is_dir():
         raise NotADirectoryError(f"snapshot root is not a directory: {root}")
     if previous is None:
-        previous = Snapshot(root=root, entries={})  # no stat keys: nothing reused
+        previous = Snapshot(root=root, entries={})  # no stamp: nothing reused
     elif previous.root != root:
         raise ValueError(f"snapshot roots differ: {previous.root} vs {root}")
-    started_ns = time_ns()
     stamp_ns = None if stamp_prefix is None else _stamp_ctime_ns(root, stamp_prefix)
-    reuse_below = previous.started_ns - RACY_MARGIN_NS + 1
-    if previous.stamp_ns is not None:
-        reuse_below = max(reuse_below, previous.stamp_ns)
     entries: dict[str, tuple[int, float, str]] = {}
     stat_keys: dict[str, tuple[int, int]] = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
-        kept = []
-        for name in sorted(dirnames):
-            rel = name if rel_dir == "." else f"{rel_dir}/{name}"
-            if not matches_exclusion(rel, excludes):
-                kept.append(name)
-        dirnames[:] = kept
+        prefix = "" if rel_dir == "." else rel_dir + "/"
+        dirnames[:] = [n for n in sorted(dirnames) if not matches_exclusion(prefix + n, excludes)]
         for name in sorted(filenames):
-            rel = name if rel_dir == "." else f"{rel_dir}/{name}"
+            rel = prefix + name
             if matches_exclusion(rel, excludes):
                 continue
             full = os.path.join(dirpath, name)
             try:
                 st = os.stat(full)
+                if not S_ISREG(st.st_mode):
+                    continue  # fifos, sockets, devices
+                key = previous.stat_keys.get(rel)
+                if unchanged_since(st, key, previous.entries.get(rel), previous.stamp_ns):
+                    # share the previous objects: an unchanged file costs no memory
+                    entries[rel] = previous.entries[rel]
+                    stat_keys[rel] = key
+                    continue
+                entries[rel] = (st.st_size, st.st_mtime, sha256_file(Path(full)))
             except FileNotFoundError:
                 continue  # dangling symlink, or removed during the walk
             except OSError as exc:
                 log.warning("snapshot skipping unreadable file %s: %s", full, exc)
                 continue
-            if not S_ISREG(st.st_mode):
-                continue  # fifos, sockets, devices
-            key = previous.stat_keys.get(rel)
-            if (
-                key == (st.st_ctime_ns, st.st_ino)
-                and st.st_ctime_ns < reuse_below
-                and previous.entries[rel][:2] == (st.st_size, st.st_mtime)
-            ):
-                # share the previous objects: an unchanged file costs no memory
-                entries[rel] = previous.entries[rel]
-                stat_keys[rel] = key
-                continue
-            try:
-                digest = sha256_file(Path(full))
-            except OSError as exc:
-                log.warning("snapshot skipping unreadable file %s: %s", full, exc)
-                continue
-            entries[rel] = (st.st_size, st.st_mtime, digest)
             stat_keys[rel] = (st.st_ctime_ns, st.st_ino)
-    return Snapshot(
-        root=root,
-        entries=entries,
-        stat_keys=stat_keys,
-        started_ns=started_ns,
-        stamp_ns=stamp_ns,
-    )
+    return Snapshot(root=root, entries=entries, stat_keys=stat_keys, stamp_ns=stamp_ns)
 
 
 INDEX_FORMAT = "provwrap-snapshot-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
 _INDEX_END = b"end\t"
 _INDEX_HEADER_LIMIT = 1 << 20  # bytes; a real header holds one path
 _REL_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
@@ -235,7 +222,7 @@ def save_snapshot(snapshot: Snapshot, path: Path) -> None:
     file names with undecodable bytes keep their bytes:
 
     - a JSON header: format, version, root, the root's st_dev and st_ino,
-      started_ns and stamp_ns;
+      and stamp_ns;
     - one line per entry: size, mtime (its repr), ctime_ns, ino, sha256 and
       the relative path, TAB-separated; the path comes last, so a TAB in it
       needs no escape, and a backslash or LF in it is written as \\\\ or \\n;
@@ -254,7 +241,6 @@ def save_snapshot(snapshot: Snapshot, path: Path) -> None:
         "root": str(snapshot.root),
         "dev": root_stat.st_dev,
         "ino": root_stat.st_ino,
-        "started_ns": snapshot.started_ns,
         "stamp_ns": snapshot.stamp_ns,
     }
     fd, temp = tempfile.mkstemp(prefix=f"{path.name}.", suffix=".tmp", dir=path.parent)
@@ -331,13 +317,7 @@ def _read_index(handle: BinaryIO, root: Path, path: Path) -> Snapshot | None:
         if (header["dev"], header["ino"]) != (root_stat.st_dev, root_stat.st_ino):
             log.debug("digest index %s describes an earlier directory at %s", path, root)
             return None
-        snapshot = Snapshot(
-            root=root,
-            entries={},
-            stat_keys={},
-            started_ns=header["started_ns"],
-            stamp_ns=header["stamp_ns"],
-        )
+        snapshot = Snapshot(root=root, entries={}, stat_keys={}, stamp_ns=header["stamp_ns"])
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _BadIndex(f"corrupt header: {exc!r}") from None
     for line in handle:
@@ -372,18 +352,15 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
     within each group.
     """
     if before.root != after.root:
-        raise ValueError(
-            f"snapshot roots differ: {before.root} vs {after.root}"
-        )
+        raise ValueError(f"snapshot roots differ: {before.root} vs {after.root}")
     before_keys = set(before.entries)
     after_keys = set(after.entries)
     created = sorted(after_keys - before_keys)
     removed = sorted(before_keys - after_keys)
     modified = sorted(
-        rel
+        rel  # [::2] of an entry is (size, sha256)
         for rel in before_keys & after_keys
-        if (before.entries[rel][0], before.entries[rel][2])
-        != (after.entries[rel][0], after.entries[rel][2])
+        if before.entries[rel][::2] != after.entries[rel][::2]
     )
     events: list[FileEvent] = []
     for group, kind in (
@@ -392,13 +369,7 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
         (removed, EventKind.REMOVED),
     ):
         for rel in group:
-            events.append(
-                FileEvent(
-                    path=(before.root / rel).resolve(),
-                    kind=kind,
-                    seq=len(events),
-                )
-            )
+            events.append(FileEvent((before.root / rel).resolve(), kind, seq=len(events)))
     return events
 
 
@@ -414,10 +385,10 @@ _LINE = re.compile(
     r"(?:(open|openat|creat)\(|<\.\.\.\s+(open|openat|creat)\s+resumed>\s*)(.*)",
     re.DOTALL,
 )
-# A completed call's text: the first quoted path and the flags right after
-# it (either may be missing), then the return value.
+# A completed call's text: the arguments before the first quoted path, that
+# path and the flags right after it (any may be missing), then the return value.
 _COMPLETED = re.compile(
-    r'(?:[^"]*' + _QUOTED + r"(?:\s*,\s*([A-Za-z0-9_|]+))?)?"
+    r'(?:([^"]*)' + _QUOTED + r"(?:\s*,\s*([A-Za-z0-9_|]+))?)?"
     r".*?\)\s*=\s*(-?\d+)(?:\s.*)?$",
     re.DOTALL,
 )
@@ -462,13 +433,17 @@ def parse_trace_stream(
 
     Only successful open/openat/creat calls produce events; failed calls
     (return -1), directory opens (O_DIRECTORY) and all other lines are
-    ignored. "<unfinished ...>" lines are held and joined with their
-    matching "resumed" line by (pid, syscall) before parsing, so the event
-    is ordered at the resume point. In lenient mode (default) malformed
-    open lines and unpaired resumed lines are skipped with a warning; in
-    strict mode they raise TraceParseError naming the line number. When
-    cwd is given, every path is joined to it (absolute paths stay as they
-    are) and resolved with Path.resolve(), symlinked leaves included.
+    ignored. So is an openat of a relative path from a directory fd other
+    than AT_FDCWD: the transcript does not say which directory the fd
+    names, and the path taken from cwd could be another file; one warning
+    per call counts those opens. "<unfinished ...>" lines are held and
+    joined with their matching "resumed" line by (pid, syscall) before
+    parsing, so the event is ordered at the resume point. In lenient mode
+    (default) malformed open lines and unpaired resumed lines are skipped
+    with a warning; in strict mode they raise TraceParseError naming the
+    line number. When cwd is given, every path is joined to it (absolute
+    paths stay as they are) and resolved with Path.resolve(), symlinked
+    leaves included.
 
     Each distinct quoted path text is unescaped and resolved once per call
     and its Path shared by all its events, so the filesystem is consulted
@@ -479,6 +454,7 @@ def parse_trace_stream(
     events: list[FileEvent] = []
     pending: dict[tuple[int | None, str], str] = {}
     resolved: dict[str, Path] = {}
+    from_dirfd: list[int] = []  # line numbers of openat calls relative to a dirfd
 
     def problem(lineno: int, message: str) -> None:
         if strict:
@@ -504,7 +480,7 @@ def parse_trace_stream(
         if call is None:
             problem(lineno, f"{syscall} call without a parsable return value")
             continue
-        raw_path, flags, returned = call.groups()
+        before_path, raw_path, flags, returned = call.groups()
         if int(returned) < 0:
             continue  # failed call
         if raw_path is None:
@@ -518,6 +494,9 @@ def parse_trace_stream(
         flag_set = set(flags.split("|"))
         if "O_DIRECTORY" in flag_set:
             continue  # listing a directory reads no file
+        if syscall == "openat" and raw_path[:1] != "/" and before_path.strip(" ,") != "AT_FDCWD":
+            from_dirfd.append(lineno)  # relative to a directory fd: to which directory?
+            continue
         path = resolved.get(raw_path)
         if path is None:
             path = Path(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
@@ -529,6 +508,12 @@ def parse_trace_stream(
 
     for pid, syscall in pending:
         log.warning("unfinished %s call (pid %s) never resumed", syscall, pid)
+    if from_dirfd:
+        log.warning(
+            "%d openat call(s) of a relative path from a directory fd gave no event"
+            " (first at trace line %d): the trace does not say which directory",
+            len(from_dirfd), from_dirfd[0],
+        )
     return events
 
 

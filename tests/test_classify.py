@@ -257,6 +257,19 @@ class TestDirectiveErrors:
         assert segments[0].records == []
         assert segments[0].errors == ["directive path is not a regular file: 'assets'"]
 
+    def test_directive_and_event_on_a_directory_give_an_error_and_no_record(
+        self, workdir, config
+    ):
+        (workdir / "assets").mkdir()
+        segments = classify(
+            [_event(workdir / "assets", EventKind.READ_INTENT, 1)],
+            [_directive(DirectiveKind.INPUT, "assets", 0)],
+            config,
+            workdir,
+        )
+        assert segments[0].records == []
+        assert segments[0].errors == ["directive path is not a regular file: 'assets'"]
+
     @pytest.mark.parametrize("kind", [EventKind.READ_INTENT, EventKind.REMOVED])
     def test_directive_on_a_file_the_run_touched_stays_vanished(self, workdir, config, kind):
         gone = workdir / "gone.csv"
@@ -707,8 +720,9 @@ def test_inside_roots_rejects_a_sibling_sharing_the_prefix():
 # paths whose last write-kind item is not REMOVED, `logged` the paths a
 # directive logged and `untracked` the paths untracked. A segment records
 # (read | written) - untracked in first-mention order, then each forced path
-# (the entry script, an existing requirements.txt) outside all three; an
-# UNTRACK in a later segment downgrades an earlier copied record.
+# (the entry script, an existing requirements.txt) outside all three, except
+# that a directory gives no record; an UNTRACK in a later segment downgrades
+# an earlier copied record.
 
 # Names below the working directory; "../elsewhere.csv" lies outside it, and
 # "bad\udcff.csv" is a file name that is not UTF-8 (byte 0xff).
@@ -777,11 +791,8 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
                 untracked.add(name)
                 continue
             if isinstance(kind, DirectiveKind):
-                if path_of[name] not in named and kinds[name] != "file":
-                    problem = "does not exist" if kinds[name] == "missing" else (
-                        "is not a regular file"
-                    )
-                    errors.append(f"directive path {problem}: {spelling!r}")
+                if path_of[name] not in named and kinds[name] == "missing":
+                    errors.append(f"directive path does not exist: {spelling!r}")
                     continue
                 logged.add(name)
             mentioned.append(name)
@@ -800,6 +811,11 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
             path = path_of[name]
             if "\udcff" in name:
                 errors.append(f"path is not valid UTF-8 and was not recorded: {str(path)!r}")
+                continue
+            if kinds[name] == "directory":
+                if name in logged:
+                    shown = str(path) if name.startswith("../") else name
+                    errors.append(f"directive path is not a regular file: {shown!r}")
                 continue
             if name == "requirements.txt":
                 category = Category.ENVIRONMENT

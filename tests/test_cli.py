@@ -33,7 +33,7 @@ from provwrap.cli import (
     unify_timeline,
 )
 
-from conftest import write_sample_project
+from conftest import wait_for_ctime_to_pass, write_sample_project
 
 
 def _parse_config(flags):
@@ -624,12 +624,11 @@ class TestHashOncePerState:
         (workdir / "main.py").write_text(_HASH_CHILD)
         (workdir / "data" / "input.csv").write_text("x\n1\n")
         (workdir / "data" / "edit.txt").write_text("old\n")
+        # the before-snapshot's stamp then vouches for every file above
+        wait_for_ctime_to_pass(*(p for p in workdir.rglob("*") if p.is_file()))
         monkeypatch.chdir(workdir)
 
         monitor = importlib.import_module("provwrap.monitor")
-        # every file above was written long enough ago to be reusable
-        real_now = time.time_ns
-        monkeypatch.setattr(monitor, "time_ns", lambda: real_now() + 10 * 10**9)
         real_hash = monitor.sha256_file
         calls = {caller: Counter() for caller in ("monitor", "classify", "bundle")}
         for caller, seen in calls.items():
@@ -665,21 +664,14 @@ class TestHashOncePerState:
         )
 
     def test_file_written_just_before_the_run_is_hashed_once(self, tmp_path, monkeypatch):
-        # Real timestamps, no pushed clock: the before-snapshot's stamp, not
-        # the 2 s wall-clock margin, lets the after-snapshot reuse the digest.
+        # The before-snapshot's stamp lets the after-snapshot reuse the
+        # digest of a file written one ctime tick before the run.
         workdir = (tmp_path / "work").resolve()
         workdir.mkdir()
         (workdir / "main.py").write_text("pass\n")
         fresh = workdir / "fresh.bin"
         fresh.write_bytes(b"just written\n")
-        written = os.stat(fresh).st_ctime_ns
-        probe = tmp_path / "probe"
-        deadline = time.monotonic() + 5
-        while True:
-            probe.write_bytes(b"")
-            if os.stat(probe).st_ctime_ns > written:
-                break
-            assert time.monotonic() < deadline, "the filesystem clock never moved"
+        wait_for_ctime_to_pass(workdir / "main.py", fresh)
         monkeypatch.chdir(workdir)
         monitor = importlib.import_module("provwrap.monitor")
         real_hash = monitor.sha256_file
@@ -1054,10 +1046,6 @@ class TestNestedWatchDirectory:
     def test_watch_directory_inside_cwd_is_snapshotted_once(
         self, tmp_path, monkeypatch, caplog
     ):
-        monitor = importlib.import_module("provwrap.monitor")
-        # every file below was written long enough ago to be reusable
-        real_now = time.time_ns
-        monkeypatch.setattr(monitor, "time_ns", lambda: real_now() + 10 * 10**9)
         hashed = _count_snapshot_hashes(monkeypatch)
         bundles = {}
         for name, flags in (("plain", []), ("watched", ["--watch", "sub", "--watch", "sub/"])):
@@ -1065,6 +1053,8 @@ class TestNestedWatchDirectory:
             (workdir / "sub").mkdir(parents=True)
             (workdir / "sub" / "a.csv").write_text("x\n1\n")
             (workdir / "main.py").write_text(_WATCH_CHILD)
+            # the before-snapshots' stamps then vouch for both files
+            wait_for_ctime_to_pass(workdir / "main.py", workdir / "sub" / "a.csv")
             monkeypatch.chdir(workdir)
             hashed.clear()
             with caplog.at_level("WARNING"):

@@ -4,18 +4,19 @@ import dataclasses
 import fnmatch
 import hashlib
 import importlib
+import json
 import os
 import random
 import stat
 import tempfile
 import threading
-import time
 from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import wait_for_ctime_to_pass
 from provwrap import (
     ControlDirective,
     ControlParseError,
@@ -28,7 +29,7 @@ from provwrap import (
     take_snapshot,
 )
 from provwrap.classify import DEFAULT_EXCLUDES
-from provwrap.monitor import RACY_MARGIN_NS, matches_exclusion
+from provwrap.monitor import INDEX_VERSION, matches_exclusion
 
 monitor = importlib.import_module("provwrap.monitor")
 
@@ -92,30 +93,6 @@ class TestTakeSnapshot:
         assert any("cursed.txt" in record.message for record in caplog.records)
 
 
-def _push_clock(monkeypatch, seconds=10):
-    """Make every file written so far look older than the racy margin."""
-    real = time.time_ns
-    monkeypatch.setattr(monitor, "time_ns", lambda: real() + seconds * 10**9)
-
-
-def _restamp_until_ctime_moves(path, old_key):
-    """Stand in for the time a pushed clock pretends has passed.
-
-    With the clock pushed, a file's ctime from before the previous snapshot
-    counts as at least RACY_MARGIN_NS old, so any later change lands on a
-    later ctime tick. On a filesystem with coarse ctimes a change made a few
-    microseconds later may share the old tick; re-stamping the same times
-    moves ctime without touching size, mtime or content.
-    """
-    deadline = time.monotonic() + 5
-    while True:
-        now = os.stat(path)
-        if (now.st_ctime_ns, now.st_ino) != old_key:
-            return
-        assert time.monotonic() < deadline, f"ctime of {path} never moved"
-        os.utime(path, ns=(now.st_atime_ns, now.st_mtime_ns))
-
-
 _NAMES = ["a.txt", "b.txt", "sub/c.txt", "sub/d.bin", "sub/deep/e.bin"]
 _MUTATION = st.tuples(
     st.sampled_from(["same_size", "rename_over", "recreate", "chmod", "new_file"]),
@@ -134,71 +111,62 @@ class TestSnapshotDigestReuse:
         initial=st.dictionaries(st.sampled_from(_NAMES), st.binary(max_size=12), min_size=1),
         mutations=st.lists(_MUTATION, max_size=6),
     )
-    def test_reusing_snapshot_equals_fresh_snapshot(
-        self, tmp_path, monkeypatch, initial, mutations
-    ):
-        _push_clock(monkeypatch)
+    def test_reusing_snapshot_equals_fresh_snapshot(self, tmp_path, initial, mutations):
         root = Path(tempfile.mkdtemp(dir=tmp_path))
         for name, data in initial.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(data)
-        before = take_snapshot(root)
-        touched = set()
-        for op, name, data in mutations:
-            path = root / name
-            touched.add(name)
-            if op == "new_file" or not path.exists():
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_bytes(data)
-                continue
-            old = os.stat(path)
-            if op == "same_size":
-                path.write_bytes(bytes(b ^ 0xFF for b in path.read_bytes()))
-                os.utime(path, ns=(old.st_atime_ns, old.st_mtime_ns))
-            elif op == "rename_over":
-                spare = root / "spare.tmp"
-                spare.write_bytes(bytes(b ^ 0x55 for b in path.read_bytes()))
-                os.utime(spare, ns=(old.st_atime_ns, old.st_mtime_ns))
-                os.replace(spare, path)
-            elif op == "recreate":
-                path.unlink()
-                path.write_bytes(data)
-            else:
-                os.chmod(path, stat.S_IMODE(old.st_mode) ^ 0o020)
-        for name in touched:
-            if name in before.stat_keys and (root / name).exists():
-                _restamp_until_ctime_moves(root / name, before.stat_keys[name])
+        wait_for_ctime_to_pass(*(root / name for name in initial))
+        before = take_snapshot(root, stamp_prefix="prov_stamp-")
+        touched = _mutate(root, mutations)
 
         reused = take_snapshot(root, previous=before)
         assert reused.entries == take_snapshot(root).entries
+        for name in set(before.entries) - touched:
+            assert reused.entries[name] is before.entries[name]
 
-    def test_unchanged_file_shares_the_previous_entry(self, tmp_path, monkeypatch):
+    def test_unchanged_file_shares_the_previous_entry(self, tmp_path):
         (tmp_path / "a.txt").write_text("same")
-        _push_clock(monkeypatch)
-        before = take_snapshot(tmp_path)
+        wait_for_ctime_to_pass(tmp_path / "a.txt")
+        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
         after = take_snapshot(tmp_path, previous=before)
         assert after.entries["a.txt"] is before.entries["a.txt"]
         assert after.stat_keys["a.txt"] is before.stat_keys["a.txt"]
 
-    def test_change_inside_racy_margin_is_rehashed(self, tmp_path, monkeypatch):
-        target = tmp_path / "data.bin"
+    def test_a_wall_clock_ahead_of_the_stamp_lends_no_digest(self, tmp_path):
+        # Two clocks: the index's stamp ties the file's ctime, and the index
+        # also says the walk started 3 s after that tick, as a wall clock
+        # running ahead of the filesystem's (an NFS server that lags) would.
+        # Only the stamp may vouch for a digest, so the rewrite is read.
+        root = tmp_path / "root"
+        root.mkdir()
+        target = root / "data.bin"
         target.write_bytes(b"old!")
         written = os.stat(target)
-        # the snapshot starts 1 s after the file was written: inside the margin
-        monkeypatch.setattr(
-            monitor, "time_ns", lambda: written.st_ctime_ns + RACY_MARGIN_NS // 2
-        )
-        before = take_snapshot(tmp_path)
+        before = take_snapshot(root, stamp_prefix="prov_stamp-")
         target.write_bytes(b"new!")
         os.utime(target, ns=(written.st_atime_ns, written.st_mtime_ns))
         # A filesystem with coarse ctimes could leave the whole stat key
-        # unchanged across this same-size rewrite; model that case.
+        # unchanged across this same-size rewrite, in the stamp's own tick.
         now = os.stat(target)
-        before.stat_keys["data.bin"] = (now.st_ctime_ns, now.st_ino)
+        tied = dataclasses.replace(
+            before,
+            stat_keys={"data.bin": (now.st_ctime_ns, now.st_ino)},
+            stamp_ns=now.st_ctime_ns,
+        )
+        index = tmp_path / "root.index"
+        save_snapshot(tied, index)
+        head, rest = index.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["started_ns"] = now.st_ctime_ns + 3 * 10**9
+        body = json.dumps(header).encode() + b"\n" + rest[: rest.rindex(b"end\t")]
+        index.write_bytes(body + b"end\t" + hashlib.sha256(body).hexdigest().encode() + b"\n")
+        previous = load_snapshot(index, root)
+        assert previous.stamp_ns == now.st_ctime_ns
 
-        after = take_snapshot(tmp_path, previous=before)
+        after = take_snapshot(root, previous=previous)
         assert after.entries["data.bin"][2] == hashlib.sha256(b"new!").hexdigest()
-        assert [(e.path.name, e.kind) for e in diff_snapshots(before, after)] == [
+        assert [(e.path.name, e.kind) for e in diff_snapshots(previous, after)] == [
             ("data.bin", EventKind.MODIFIED)
         ]
 
@@ -241,24 +209,32 @@ class TestSnapshotDigestReuse:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
         assert set(snap.entries) == {"a.txt"}
 
-    def test_unwritable_root_falls_back_to_the_wall_clock_margin(
+    def test_unwritable_root_has_no_stamp_and_is_hashed_on_every_snapshot(
         self, tmp_path, monkeypatch
     ):
-        (tmp_path / "a.txt").write_text("a")
+        names = ["a.txt", "sub/b.txt"]
+        (tmp_path / "sub").mkdir()
+        for name in names:
+            (tmp_path / name).write_text(name)
+        wait_for_ctime_to_pass(*(tmp_path / name for name in names))
 
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
 
         monkeypatch.setattr(monitor.tempfile, "mkstemp", refuse)
-        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
-        assert before.stamp_ns is None
-        assert take_snapshot(tmp_path, previous=before).entries["a.txt"] is not (
-            before.entries["a.txt"]
+        real_hash = monitor.sha256_file
+        hashed = []
+        monkeypatch.setattr(
+            monitor, "sha256_file", lambda path: hashed.append(path) or real_hash(path)
         )
-        _push_clock(monkeypatch)
-        before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
-        after = take_snapshot(tmp_path, previous=before)
-        assert after.entries["a.txt"] is before.entries["a.txt"]
+        snapshots = [take_snapshot(tmp_path, stamp_prefix="prov_stamp-")]
+        for _ in range(2):
+            snapshots.append(
+                take_snapshot(tmp_path, previous=snapshots[-1], stamp_prefix="prov_stamp-")
+            )
+        assert [snap.stamp_ns for snap in snapshots] == [None] * 3
+        assert sorted(hashed) == sorted(tmp_path.resolve() / name for name in names * 3)
+        assert all(snap.entries == snapshots[0].entries for snap in snapshots)
 
     def test_previous_snapshot_of_another_root_raises(self, tmp_path):
         (tmp_path / "r1").mkdir()
@@ -318,23 +294,24 @@ class TestDigestIndex:
         mutations=st.lists(_MUTATION, max_size=6),
     )
     def test_snapshot_from_a_loaded_index_equals_fresh_snapshot(
-        self, tmp_path, monkeypatch, initial, mutations
+        self, tmp_path, initial, mutations
     ):
-        _push_clock(monkeypatch)
         root = Path(tempfile.mkdtemp(dir=tmp_path))
         index = Path(tempfile.mkdtemp(dir=tmp_path)) / "root.index"
         for name, data in initial.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(data)
-        before = take_snapshot(root)
+        wait_for_ctime_to_pass(*(root / name for name in initial))
+        before = take_snapshot(root, stamp_prefix="prov_stamp-")
         save_snapshot(before, index)
-        for name in _mutate(root, mutations):
-            if name in before.stat_keys and (root / name).exists():
-                _restamp_until_ctime_moves(root / name, before.stat_keys[name])
+        touched = _mutate(root, mutations)
 
         loaded = load_snapshot(index, root)
         assert loaded == before
-        assert take_snapshot(root, previous=loaded).entries == take_snapshot(root).entries
+        reused = take_snapshot(root, previous=loaded)
+        assert reused.entries == take_snapshot(root).entries
+        for name in set(before.entries) - touched:
+            assert reused.entries[name] is loaded.entries[name]
 
     def test_round_trip_keeps_odd_names_and_every_field(self, tmp_path):
         snap = _snapshot_with_odd_names(tmp_path)
@@ -435,7 +412,10 @@ class TestDigestIndex:
         root, index = self._saved(tmp_path)
         header, body = index.read_bytes().split(b"\n", 1)
         newer = tmp_path / "newer.index"
-        newer.write_bytes(header.replace(b'"version": 1', b'"version": 2') + b"\n" + body)
+        version = f'"version": {INDEX_VERSION}'.encode()
+        assert version in header
+        other = f'"version": {INDEX_VERSION + 1}'.encode()
+        newer.write_bytes(header.replace(version, other) + b"\n" + body)
         other = tmp_path / "other"
         other.mkdir()
         with caplog.at_level("DEBUG", logger="provwrap.monitor"):

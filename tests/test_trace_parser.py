@@ -140,6 +140,55 @@ def test_directory_opens_give_no_record(tmp_path):
     assert [segment.records for segment in segments] == [[]]
 
 
+@pytest.mark.parametrize(
+    "flags", ["O_RDONLY|O_CLOEXEC", "O_RDONLY|O_PATH"], ids=["read", "o-path"]
+)
+def test_an_open_of_something_not_a_regular_file_gives_no_record(tmp_path, flags):
+    # shutil.rmtree and os.open(dir) for a dir_fd open directories without
+    # O_DIRECTORY; an O_PATH open names a path without reading it
+    (tmp_path / "assets").mkdir()
+    os.mkfifo(tmp_path / "pipe")
+    (tmp_path / "a.csv").write_text("a")
+    lines = [
+        f'openat(AT_FDCWD, "assets", {flags}) = 3',
+        f'openat(AT_FDCWD, "pipe", {flags}) = 4',
+        f'openat(AT_FDCWD, "a.csv", {flags}) = 5',
+        f'openat(AT_FDCWD, "gone.csv", {flags}) = 6',
+    ]
+    events = parse_trace_stream(lines, strict=True, cwd=tmp_path)
+    [segment] = classify(events, [], RunConfig(), tmp_path)
+    records = {r.bundle_relative_path: r.skip_reason for r in segment.records}
+    # a file that no longer exists keeps its record
+    assert records == {"inputs/a.csv": None, "inputs/gone.csv": "vanished"}
+    assert segment.errors == []
+
+
+def test_openat_from_a_directory_fd_gives_no_event(tmp_path, caplog):
+    # fd 7 names sub/, which the transcript does not say: resolving
+    # "rel.csv" from cwd would copy ./rel.csv, a file the child never read
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "rel.csv").write_text("cwd")
+    (tmp_path / "sub" / "rel.csv").write_text("sub")
+    lines = [
+        'openat(AT_FDCWD, "sub", O_RDONLY|O_DIRECTORY) = 7',
+        'openat(7, "rel.csv", O_RDONLY) = 8',
+        '123 openat(7, "out.png", O_WRONLY|O_CREAT|O_TRUNC, 0666 <unfinished ...>',
+        "123 <... openat resumed>) = 9",
+        f'openat(7, "{tmp_path}/abs.csv", O_RDONLY) = 10',
+        'openat(AT_FDCWD, "rel.csv", O_RDONLY) = 11',
+    ]
+    for strict in (False, True):
+        caplog.clear()
+        events = parse_trace_stream(lines, strict=strict, cwd=tmp_path)
+        assert [(e.path.name, e.kind) for e in events] == [
+            ("abs.csv", READ), ("rel.csv", READ)
+        ]
+        assert events[1].path == tmp_path / "rel.csv"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1
+        assert "2 openat" in warnings[0] and "line 2" in warnings[0]
+
+
 def test_seq_strictly_increases():
     events = parse_trace_stream(_read_fixture("trace_annotated.txt"))
     assert [e.seq for e in events] == list(range(len(events)))
