@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .classify import RunConfig, RunSegment
 from .errors import BundleError
-from .monitor import sha256_file
+from .monitor import sha256_file, unchanged_since
 from .provmodel import build_document
 from .runmeta import RunMetadata
 from .serialize import render_svg, to_dot, to_prov_json, to_rocrate_metadata
@@ -78,6 +78,38 @@ def _link_shared(target: Path, destination: Path) -> bool:
     return True
 
 
+def _open_file(path: Path) -> tuple[int, os.stat_result] | None:
+    """Open path for reading and fstat it; None when it is gone or not a regular file."""
+    try:
+        # non-blocking, so a FIFO put in its place cannot stall the run
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+    except (FileNotFoundError, NotADirectoryError):
+        return None
+    st = os.fstat(fd)
+    if stat.S_ISREG(st.st_mode):
+        return fd, st
+    os.close(fd)
+    return None
+
+
+def _copy_from(source: int, destination: Path) -> None:
+    """Write the regular file open as source into destination, from offset 0.
+
+    The kernel moves the bytes (sendfile, as shutil.copyfile does on Linux);
+    where sendfile cannot write to a file, they pass through a buffer.
+    """
+    with open(destination, "wb") as out:
+        offset = 0
+        try:
+            while sent := os.sendfile(out.fileno(), source, offset, 1 << 30):
+                offset += sent
+        except OSError as exc:
+            if offset or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
+                raise
+            with open(source, "rb", closefd=False) as handle:
+                shutil.copyfileobj(handle, out)
+
+
 def write_bundle(
     segment: RunSegment,
     meta: RunMetadata,
@@ -88,19 +120,27 @@ def write_bundle(
     """Copy the segment's artifacts into bundle_dir, then describe them there.
 
     A copied record without a digest or size is refused before anything is
-    written. Copies are digest-verified; a mismatch is a hard error, since a
-    corrupted bundle must never pass as success. A vanished file is kept as
-    metadata only, with a warning. Then one document is built from the
-    records as they stand; it and the crate take the segment's name.
+    written. Each source is opened once, fstat'ed, copied from that
+    descriptor and fstat'ed again. The copy is verified against the
+    record's digest; a mismatch is a hard error, since a corrupted bundle
+    must never pass as success. It is verified without being read when the
+    record has a proof (its digest was computed in this run, see
+    `Snapshot.copy_proof`) and `unchanged_since` holds for both fstats: the
+    source then held the hashed bytes throughout. Otherwise (a digest from
+    the digest index or from `classify`, a source whose stat moved, or a
+    root without a stamp) the copy is hashed and compared. A source that is
+    gone or no longer a regular file is kept as metadata only, with a
+    warning. Then one document is built from the records as they stand; it
+    and the crate take the segment's name.
 
     links, when given, maps a recorded (sha256, size_bytes) to the first
     bundle copy with that content that has been copied and verified; the
     caller owns it and passes the same dict to every bundle of one run. A
     record whose content is already there is hard-linked to that copy
     instead of copied, never to its source, so a later edit of the user's
-    file cannot reach a bundle; the shared inode loses its write bits. When
-    the filesystem refuses the link, the file is copied as usual. Linked or
-    copied, every destination is hashed and checked the same way.
+    file cannot reach a bundle; the shared inode loses its write bits. A
+    link shares the verified copy's bytes, so it is not read again. When
+    the filesystem refuses the link, the file is copied as usual.
     """
     bundle_dir = Path(bundle_dir)
     if not bundle_dir.is_dir():
@@ -120,28 +160,39 @@ def write_bundle(
             continue
         source = record.original_path
         destination = bundle_dir / record.bundle_relative_path
-        if not source.is_file():
+        opened = _open_file(source)
+        if opened is None:
             report.warnings.append(
                 f"{source} vanished before copy; keeping metadata only"
             )
             record.copied = False
             record.skip_reason = "vanished"
             continue
-        if destination.parent not in made_dirs:
-            destination.parent.mkdir(parents=True, exist_ok=True)
-            made_dirs.add(destination.parent)
-        content = (record.sha256, record.size_bytes)
-        shared = None if links is None else links.get(content)
-        if shared is None or not _link_shared(shared, destination):
-            shutil.copyfile(source, destination)
-        if sha256_file(destination) != record.sha256:
-            raise BundleError(
-                f"digest mismatch after copying {source} to {destination}; "
-                "the file changed during packaging"
-            )
+        fd, before = opened
+        try:
+            if destination.parent not in made_dirs:
+                destination.parent.mkdir(parents=True, exist_ok=True)
+                made_dirs.add(destination.parent)
+            content = (record.sha256, record.size_bytes)
+            shared = None if links is None else links.get(content)
+            if shared is None or not _link_shared(shared, destination):
+                _copy_from(fd, destination)
+                proof = record.proof
+                unchanged = (
+                    proof is not None
+                    and unchanged_since(before, *proof)
+                    and unchanged_since(os.fstat(fd), *proof)
+                )
+                if not unchanged and sha256_file(destination) != record.sha256:
+                    raise BundleError(
+                        f"digest mismatch after copying {source} to {destination}; "
+                        "the file changed during packaging"
+                    )
+        finally:
+            os.close(fd)
         if links is not None:
             links.setdefault(content, destination)
-        report.bytes_copied += destination.stat().st_size
+        report.bytes_copied += record.size_bytes
         report.files_written.append(record.bundle_relative_path)
 
     doc = build_document(segment.records, meta, config, run_name=segment.name)

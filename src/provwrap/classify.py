@@ -17,6 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .monitor import (
     ControlDirective,
+    CopyProof,
     DirectiveKind,
     EventKind,
     FileEvent,
@@ -98,6 +99,9 @@ class ArtifactRecord:
     size_bytes: int | None = None
     copied: bool = True
     skip_reason: str | None = None
+    # (key, entry, stamp_ns) from Snapshot.copy_proof when sha256 is this
+    # run's digest of the file; write_bundle's alone, never in a document
+    proof: CopyProof | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -201,17 +205,19 @@ def _relative_to_cwd(path: Path, cwd: Path) -> str | None:
         return None
 
 
-def _snapshot_entry(
-    path: Path, snapshots: Sequence[Snapshot]
-) -> tuple[int, float, str] | None:
+_Measured = tuple[int | None, str | None, CopyProof | None]  # size, sha256, proof
+
+
+def _snapshot_entry(path: Path, snapshots: Sequence[Snapshot]) -> _Measured | None:
+    """Return (size, sha256, copy proof) of path's snapshot entry, if it has one."""
     for snapshot in snapshots:
         try:
-            rel = path.relative_to(snapshot.root)
+            rel = path.relative_to(snapshot.root).as_posix()
         except ValueError:
             continue
-        entry = snapshot.entries.get(rel.as_posix())
+        entry = snapshot.entries.get(rel)
         if entry is not None:
-            return entry
+            return entry[0], entry[2], snapshot.copy_proof(rel)
     return None
 
 
@@ -221,7 +227,7 @@ def _record(
     config: RunConfig,
     cwd: Path,
     entry_script: Path | None,
-    measured: tuple[int | None, str | None],
+    measured: _Measured,
 ) -> ArtifactRecord:
     """Build path's record: its category, bundle path and copy decision.
 
@@ -248,7 +254,7 @@ def _record(
     else:
         top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}.get(category, "inputs")
         bundle_path = f"{top}/{rel}"
-    size, sha256 = measured
+    size, sha256, proof = measured
     record = ArtifactRecord(
         original_path=path,
         bundle_relative_path=bundle_path,
@@ -257,6 +263,7 @@ def _record(
         logged_by=LoggedBy.USER if st.user_logged else LoggedBy.AUTO,
         sha256=sha256,
         size_bytes=size,
+        proof=proof,
     )
     if sha256 is None:
         record.copied = False
@@ -296,11 +303,12 @@ def classify(
     error: it names no file the run touched.
 
     A record whose file is listed in one of snapshots (looked up by its path
-    relative to the snapshot root) takes size and sha256 from that entry;
-    every other path is hashed now, once per call however many records it
-    has. A path that cannot be encoded as UTF-8 (a file name with
-    undecodable bytes) gives no record: the provenance formats are UTF-8
-    text, so its segment gets an error naming the path instead.
+    relative to the snapshot root) takes size and sha256 from that entry,
+    and its proof from `Snapshot.copy_proof`; every other path is hashed
+    now, once per call however many records it has, and gets no proof. A
+    path that cannot be encoded as UTF-8 (a file name with undecodable
+    bytes) gives no record: the provenance formats are UTF-8 text, so its
+    segment gets an error naming the path instead.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
@@ -319,29 +327,30 @@ def classify(
         return verdicts[path]
 
     named = {event.path for event in events}
-    # this call's (size, sha256) per path; no sha256 when it is gone or
-    # unreadable, and None when it exists but is not a regular file
-    measured: dict[Path, tuple[int | None, str | None] | None] = {}
+    # this call's (size, sha256, copy proof) per path; no sha256 when it is
+    # gone or unreadable, and None when it exists but is not a regular file
+    measured: dict[Path, _Measured | None] = {}
 
-    def measure(path: Path) -> tuple[int | None, str | None] | None:
+    def measure(path: Path) -> _Measured | None:
         # Every record is measured after the child has exited, so one
         # answer per path serves all of its records.
         if path not in measured:
             entry = _snapshot_entry(path, snapshots)
             if entry is not None:
                 # hashed (or reused) by the after-snapshot; write_bundle
-                # checks the copy against it, so a later change is caught
-                measured[path] = (entry[0], entry[2])
+                # checks the copy against it, or, with a proof, the
+                # source's stat, so a later change is caught
+                measured[path] = entry
             elif not path.is_file():
-                measured[path] = None if path.exists() else (None, None)
+                measured[path] = None if path.exists() else (None, None, None)
             else:
                 size = None
                 try:
                     size = path.stat().st_size
-                    measured[path] = (size, sha256_file(path))
+                    measured[path] = (size, sha256_file(path), None)
                 except OSError as exc:
                     log.warning("could not hash %s: %s", path, exc)
-                    measured[path] = (size, None)
+                    measured[path] = (size, None, None)
         return measured[path]
 
     timeline = sorted(

@@ -87,6 +87,10 @@ class FileEvent:
     pid: int | None = None
 
 
+CopyProof = tuple[tuple[int, int], tuple[int, float, str], int]
+"""A key, entry and stamp_ns: what unchanged_since takes after the stat."""
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """Recursive listing of regular files under root.
@@ -97,12 +101,31 @@ class Snapshot:
     when there was none). The last two only decide, by unchanged_since,
     whether a later snapshot of the same root may reuse a digest; a
     snapshot without a stamp lends none.
+
+    fresh holds the paths whose digest a walk in this process computed from
+    the file's bytes, itself or in an earlier snapshot whose entry it
+    reused; a digest from load_snapshot is never fresh. Only a fresh digest
+    may vouch for a later copy of the file (see copy_proof). The mark is
+    not saved in the index, and snapshots compare equal without it.
     """
 
     root: Path
     entries: dict[str, tuple[int, float, str]]
     stat_keys: dict[str, tuple[int, int]] = field(default_factory=dict)
     stamp_ns: int | None = None
+    fresh: set[str] = field(default_factory=set, compare=False)
+
+    def copy_proof(self, rel: str) -> CopyProof | None:
+        """Return rel's (key, entry, stamp_ns) for unchanged_since, or None.
+
+        With them, a stat of rel taken later in this process tells whether
+        the file still holds the bytes its digest was computed from. None
+        when the digest is not fresh or the snapshot has no stamp: then
+        nothing vouches for it, and a copy must be read to be checked.
+        """
+        if self.stamp_ns is None or rel not in self.fresh:
+            return None
+        return self.stat_keys[rel], self.entries[rel], self.stamp_ns
 
 
 def unchanged_since(
@@ -163,7 +186,9 @@ def take_snapshot(
     every file again. Unreadable files are skipped with a warning; they
     never abort the snapshot. Symlinked directories are not followed.
     previous may be an earlier run's snapshot, saved with save_snapshot and
-    read back with load_snapshot: the same rule decides every reuse.
+    read back with load_snapshot: the same rule decides every reuse. A
+    hashed file is fresh, and a reused entry is fresh when it was in
+    previous.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -175,6 +200,7 @@ def take_snapshot(
     stamp_ns = None if stamp_prefix is None else _stamp_ctime_ns(root, stamp_prefix)
     entries: dict[str, tuple[int, float, str]] = {}
     stat_keys: dict[str, tuple[int, int]] = {}
+    fresh: set[str] = set()
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
         prefix = "" if rel_dir == "." else rel_dir + "/"
@@ -193,6 +219,8 @@ def take_snapshot(
                     # share the previous objects: an unchanged file costs no memory
                     entries[rel] = previous.entries[rel]
                     stat_keys[rel] = key
+                    if rel in previous.fresh:
+                        fresh.add(rel)
                     continue
                 entries[rel] = (st.st_size, st.st_mtime, sha256_file(Path(full)))
             except FileNotFoundError:
@@ -201,7 +229,10 @@ def take_snapshot(
                 log.warning("snapshot skipping unreadable file %s: %s", full, exc)
                 continue
             stat_keys[rel] = (st.st_ctime_ns, st.st_ino)
-    return Snapshot(root=root, entries=entries, stat_keys=stat_keys, stamp_ns=stamp_ns)
+            fresh.add(rel)
+    return Snapshot(
+        root=root, entries=entries, stat_keys=stat_keys, stamp_ns=stamp_ns, fresh=fresh
+    )
 
 
 INDEX_FORMAT = "provwrap-snapshot-index"
@@ -277,7 +308,8 @@ def load_snapshot(path: Path, root: Path) -> Snapshot | None:
     index of another directory (another path, or the same path with another
     st_dev/st_ino, i.e. a directory made anew) gives None with a debug log;
     a corrupt or truncated file gives None with a warning. With None, the
-    caller takes a cold snapshot: every file is hashed.
+    caller takes a cold snapshot: every file is hashed. No entry of the
+    snapshot returned is fresh: the index does not carry that mark.
     """
     root = Path(root).resolve()
     try:

@@ -151,6 +151,25 @@ class TestWriteBundle:
             workdir / "data.bin"
         ).read_bytes()
 
+    def test_copy_passes_through_a_buffer_where_sendfile_refuses_a_file(
+        self, tmp_path, config, monkeypatch
+    ):
+        import errno
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _segment_from_tree(workdir, [("data.bin", Category.INPUT)])
+
+        def refuse(*args):
+            raise OSError(errno.ENOTSOCK, "Socket operation on non-socket")
+
+        monkeypatch.setattr(os, "sendfile", refuse)
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        write_bundle(segment, make_meta(), config, bundle_dir)
+        assert (bundle_dir / "inputs/data.bin").read_bytes() == (
+            workdir / "data.bin"
+        ).read_bytes()
+
     def test_zero_record_segment(self, tmp_path, config):
         segment = RunSegment(name="experiment_run")
         meta = make_meta()
@@ -280,3 +299,95 @@ class TestWriteBundle:
         assert list(payload["activity"]) == ["yProv4DA:experiment_run_1"]
         crate = json.loads((bundle_dir / "ro-crate-metadata.json").read_bytes())
         assert crate["@graph"][1]["name"] == "experiment_run_1"
+
+
+def _proved_segment(workdir, stamp_after_ctime):
+    """One output record whose proof says its digest was computed this run,
+    from a walk stamped stamp_after_ctime ns after the file's ctime."""
+    segment = _segment_from_tree(workdir, [("chart.png", Category.OUTPUT)])
+    record = segment.records[0]
+    st = os.stat(record.original_path)
+    record.proof = (
+        (st.st_ctime_ns, st.st_ino),
+        (st.st_size, st.st_mtime, record.sha256),
+        st.st_ctime_ns + stamp_after_ctime,
+    )
+    return segment
+
+
+def _rewrite_keeping_size_and_mtime(path):
+    st = os.stat(path)
+    path.write_bytes(path.read_bytes().upper())
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+class TestCopyCheck:
+    """When write_bundle reads a copy back to check it against the digest."""
+
+    @pytest.mark.parametrize(
+        "stamp_after_ctime, reads", [(1, 0), (0, 1)], ids=["older", "tie"]
+    )
+    def test_a_copy_is_read_back_unless_its_source_predates_the_stamp(
+        self, tmp_path, config, monkeypatch, stamp_after_ctime, reads
+    ):
+        import provwrap.bundle as bundle_module
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _proved_segment(workdir, stamp_after_ctime)
+        hashed = []
+        real = bundle_module.sha256_file
+        monkeypatch.setattr(
+            bundle_module, "sha256_file", lambda path: hashed.append(path) or real(path)
+        )
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        report = write_bundle(segment, make_meta(), config, bundle_dir)
+        assert len(hashed) == reads
+        assert (bundle_dir / "outputs/chart.png").read_bytes() == (
+            workdir / "chart.png"
+        ).read_bytes()
+        assert report.bytes_copied == segment.records[0].size_bytes
+
+    @pytest.mark.parametrize("when", ["before", "during"])
+    def test_a_source_changed_after_its_digest_is_caught(
+        self, tmp_path, config, monkeypatch, when
+    ):
+        import provwrap.bundle as bundle_module
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _proved_segment(workdir, 1)
+        source = segment.records[0].original_path
+        if when == "before":
+            _rewrite_keeping_size_and_mtime(source)
+        else:
+            real_copy = bundle_module._copy_from
+
+            def rewrite_then_copy(fd, destination):
+                _rewrite_keeping_size_and_mtime(source)
+                real_copy(fd, destination)
+
+            monkeypatch.setattr(bundle_module, "_copy_from", rewrite_then_copy)
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        with pytest.raises(BundleError, match="digest mismatch"):
+            write_bundle(segment, make_meta(), config, bundle_dir)
+
+    @pytest.mark.parametrize("replacement", ["fifo", "directory"])
+    def test_a_source_that_is_no_longer_a_file_is_vanished(
+        self, tmp_path, config, replacement
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _segment_from_tree(workdir, [("fleeting.csv", Category.INPUT)])
+        source = workdir / "fleeting.csv"
+        source.unlink()
+        if replacement == "fifo":
+            os.mkfifo(source)  # opening it must not wait for a writer
+        else:
+            source.mkdir()
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        report = write_bundle(segment, make_meta(), config, bundle_dir)
+        assert any("vanished" in w for w in report.warnings)
+        assert segment.records[0].skip_reason == "vanished"
+        assert report.bytes_copied == 0
+        assert not (bundle_dir / "inputs").exists()

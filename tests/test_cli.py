@@ -23,17 +23,21 @@ from provwrap import (
     EventKind,
     FileEvent,
     InputCopies,
+    load_snapshot,
+    save_snapshot,
     take_snapshot,
 )
 from provwrap.cli import (
+    PROVENANCE_EXIT,
     build_arg_parser,
     config_from_args,
     detect_entry_script,
+    index_file,
     run,
     unify_timeline,
 )
 
-from conftest import wait_for_ctime_to_pass, write_sample_project
+from conftest import ends_past_its_ctime_tick, wait_for_ctime_to_pass, write_sample_project
 
 
 def _parse_config(flags):
@@ -598,53 +602,66 @@ class TestBackendInterface:
         assert Path(argv[len(prefix)]).resolve() == scratch / "trace"
 
 
-_HASH_CHILD = textwrap.dedent(
-    """\
-    import os
+_HASH_CHILD = ends_past_its_ctime_tick(
+    textwrap.dedent(
+        """\
+        import os
 
-    with open(os.environ["YPROV_CONTROL"], "a") as fh:
-        fh.write("INPUT\\tdata/input.csv\\n")
-    with open("data/input.csv") as fh:
-        fh.read()
-    with open("data/edit.txt", "a") as fh:
-        fh.write("more\\n")
-    with open("out.txt", "w") as fh:
-        fh.write("created\\n")
-    """
+        with open(os.environ["YPROV_CONTROL"], "a") as fh:
+            fh.write("INPUT\\tdata/input.csv\\n")
+        with open("data/input.csv") as fh:
+            fh.read()
+        with open("data/edit.txt", "a") as fh:
+            fh.write("more\\n")
+        with open("out.txt", "w") as fh:
+            fh.write("created\\n")
+        """
+    )
 )
+
+_HASH_UNCHANGED = ["main.py"] + [f"data/u{i}.txt" for i in range(4)]
+
+
+def _hash_project(workdir):
+    """Write the _HASH_CHILD project into workdir; every file predates the run's stamp."""
+    (workdir / "data").mkdir(parents=True)
+    for rel in _HASH_UNCHANGED[1:]:
+        (workdir / rel).write_text(f"unchanged {rel}\n")
+    (workdir / "main.py").write_text(_HASH_CHILD)
+    (workdir / "data" / "input.csv").write_text("x\n1\n")
+    (workdir / "data" / "edit.txt").write_text("old\n")
+    # the before-snapshot's stamp then vouches for every file above
+    wait_for_ctime_to_pass(*(p for p in workdir.rglob("*") if p.is_file()))
+
+
+def _count_hashes(monkeypatch):
+    """Count sha256_file calls per path as monitor, classify and bundle make them."""
+    monitor = importlib.import_module("provwrap.monitor")
+    real_hash = monitor.sha256_file
+    calls = {caller: Counter() for caller in ("monitor", "classify", "bundle")}
+    for caller, seen in calls.items():
+        def counting(path, seen=seen):
+            seen[Path(path)] += 1
+            return real_hash(path)
+
+        module = importlib.import_module(f"provwrap.{caller}")
+        monkeypatch.setattr(module, "sha256_file", counting)
+    return calls
 
 
 class TestHashOncePerState:
     def test_each_file_is_hashed_once_per_state(self, tmp_path, monkeypatch):
         workdir = (tmp_path / "work").resolve()
-        (workdir / "data").mkdir(parents=True)
-        unchanged = ["main.py"] + [f"data/u{i}.txt" for i in range(4)]
-        for rel in unchanged[1:]:
-            (workdir / rel).write_text(f"unchanged {rel}\n")
-        (workdir / "main.py").write_text(_HASH_CHILD)
-        (workdir / "data" / "input.csv").write_text("x\n1\n")
-        (workdir / "data" / "edit.txt").write_text("old\n")
-        # the before-snapshot's stamp then vouches for every file above
-        wait_for_ctime_to_pass(*(p for p in workdir.rglob("*") if p.is_file()))
+        _hash_project(workdir)
         monkeypatch.chdir(workdir)
-
-        monitor = importlib.import_module("provwrap.monitor")
-        real_hash = monitor.sha256_file
-        calls = {caller: Counter() for caller in ("monitor", "classify", "bundle")}
-        for caller, seen in calls.items():
-            def counting(path, seen=seen):
-                seen[Path(path)] += 1
-                return real_hash(path)
-
-            module = importlib.import_module(f"provwrap.{caller}")
-            monkeypatch.setattr(module, "sha256_file", counting)
+        calls = _count_hashes(monkeypatch)
 
         assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
 
         # unchanged and read-only files: the before-snapshot only; the
         # modified file again in the after-snapshot; the created file once
         assert calls["monitor"] == Counter(
-            {workdir / rel: 1 for rel in [*unchanged, "data/input.csv"]}
+            {workdir / rel: 1 for rel in [*_HASH_UNCHANGED, "data/input.csv"]}
             | {workdir / "data/edit.txt": 2, workdir / "out.txt": 1}
         )
         assert calls["classify"] == Counter()
@@ -655,12 +672,41 @@ class TestHashOncePerState:
                         "outputs/data/edit.txt", "outputs/out.txt")
         }
         assert all(path.is_file() for path in copies)
-        assert calls["bundle"] == Counter({path: 1 for path in copies})
-        # the INPUT file: the before-snapshot and the post-copy check
+        # every digest was computed in this run, and no source's stat moved
+        # since, so no copy is read back
+        assert calls["bundle"] == Counter()
+        # the INPUT file: the before-snapshot only
         assert (
             calls["monitor"][workdir / "data/input.csv"]
             + calls["bundle"][bundle / "inputs/data/input.csv"]
-            == 2
+            == 1
+        )
+
+    def test_a_warm_run_reads_back_the_copies_of_index_digests(
+        self, tmp_path, monkeypatch
+    ):
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        monkeypatch.chdir(workdir)
+        assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+        calls = _count_hashes(monkeypatch)
+
+        assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
+
+        # the index vouches for every file; the after-snapshot reads the
+        # two the child wrote again
+        assert calls["monitor"] == Counter([workdir / "data/edit.txt", workdir / "out.txt"])
+        assert calls["classify"] == Counter()
+        bundle = workdir / "prov_1"
+        # out.txt got the same bytes again, so it is no output this time
+        assert sorted(
+            p.relative_to(bundle).as_posix()
+            for p in bundle.rglob("*")
+            if p.is_file() and p.parent != bundle
+        ) == ["inputs/data/input.csv", "outputs/data/edit.txt", "src/main.py"]
+        # edit.txt's digest is this run's; the other two came from the index
+        assert calls["bundle"] == Counter(
+            [bundle / "src/main.py", bundle / "inputs/data/input.csv"]
         )
 
     def test_file_written_just_before_the_run_is_hashed_once(self, tmp_path, monkeypatch):
@@ -685,6 +731,50 @@ class TestHashOncePerState:
         assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
         assert hashed[fresh] == 1
         assert hashed[workdir / "main.py"] == 1
+
+
+class TestCopyTrust:
+    """A copy is trusted without being read back only on a digest this run
+    computed and a source whose stat has not moved since."""
+
+    def test_a_stale_index_digest_is_caught_at_the_copy(
+        self, tmp_path, monkeypatch, isolated_index_cache, capsys
+    ):
+        # the clock-step hole: the file's stat key is unchanged, its digest wrong
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        monkeypatch.chdir(workdir)
+        assert run(_DIFF_RUN) == 0
+        index = index_file(isolated_index_cache.resolve() / "provwrap", workdir)
+        snapshot = load_snapshot(index, workdir)
+        size, mtime, _ = snapshot.entries["data/input.csv"]
+        snapshot.entries["data/input.csv"] = (size, mtime, "0" * 64)
+        save_snapshot(snapshot, index)
+        capsys.readouterr()
+
+        assert run(_DIFF_RUN) == PROVENANCE_EXIT
+        assert "digest mismatch" in capsys.readouterr().err
+
+    def test_a_source_rewritten_after_the_snapshot_is_caught_at_the_copy(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        monkeypatch.chdir(workdir)
+        out = workdir / "out.txt"
+        cli = importlib.import_module("provwrap.cli")
+        real_classify = cli.classify
+
+        def classify_then_rewrite(*args, **kwargs):
+            segments = real_classify(*args, **kwargs)
+            st = os.stat(out)
+            out.write_text("CREATED\n")  # same size and mtime, other bytes
+            os.utime(out, ns=(st.st_atime_ns, st.st_mtime_ns))
+            return segments
+
+        monkeypatch.setattr(cli, "classify", classify_then_rewrite)
+        assert run(_DIFF_RUN) == PROVENANCE_EXIT
+        assert "digest mismatch" in capsys.readouterr().err
 
 
 _UNDECODABLE_CHILD = (
@@ -755,6 +845,19 @@ _SEGMENTED_CHILD = textwrap.dedent(
 )
 
 
+_SEGMENTED_READER = textwrap.dedent(
+    """\
+    import os
+
+    with open(os.environ["YPROV_CONTROL"], "a") as fh:
+        for k in range(3):
+            fh.write("INPUT\\tdata/in.csv\\nINPUT\\tdata/same.csv\\n")
+            if k < 2:
+                fh.write("END_RUN\\n")
+    """
+)
+
+
 def _segmented_project(workdir):
     (workdir / "data").mkdir(parents=True)
     (workdir / "data" / "in.csv").write_text("x,y\n1,2\n")
@@ -790,19 +893,19 @@ class TestLinkRepeatedContent:
     def _run(self, workdir, monkeypatch):
         """Run the child in workdir; return the files write_bundle copied."""
         bundle_module = importlib.import_module("provwrap.bundle")
-        real_copy = shutil.copyfile
+        real_copy = bundle_module._copy_from
         created = []
 
         def counting(source, destination):
             created.append(destination)
             return real_copy(source, destination)
 
-        monkeypatch.setattr(bundle_module.shutil, "copyfile", counting)
+        monkeypatch.setattr(bundle_module, "_copy_from", counting)
         monkeypatch.chdir(workdir)
         try:
             assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
         finally:
-            monkeypatch.setattr(bundle_module.shutil, "copyfile", real_copy)
+            monkeypatch.setattr(bundle_module, "_copy_from", real_copy)
         return created
 
     def test_repeated_content_is_one_read_only_inode(self, tmp_path, monkeypatch):
@@ -871,6 +974,29 @@ class TestLinkRepeatedContent:
             assert len(_copied_files(workdir)) == 12
             for bundle in workdir.glob("prov_*"):
                 shutil.rmtree(bundle)
+
+
+    def test_only_copies_are_read_back_never_links(self, tmp_path, monkeypatch):
+        # A warm run: every digest comes from the index, so each copy is
+        # read back once; the links to it are not read at all.
+        workdir = (tmp_path / "work").resolve()
+        _segmented_project(workdir)
+        (workdir / "main.py").write_text(_SEGMENTED_READER)
+        self._run(workdir, monkeypatch)
+        calls = _count_hashes(monkeypatch)
+
+        created = self._run(workdir, monkeypatch)
+
+        bundles = [workdir / f"prov_{k}" for k in (3, 4, 5)]
+        copied = [
+            bundle / rel
+            for bundle in bundles
+            for rel in ("inputs/data/in.csv", "inputs/data/same.csv", "src/main.py")
+        ]
+        assert all(path.is_file() for path in copied)
+        assert created == [bundles[0] / "inputs/data/in.csv", bundles[0] / "src/main.py"]
+        assert calls["bundle"] == Counter(created)
+        assert calls["monitor"] == calls["classify"] == Counter()
 
 
 class TestSegmentsAllocateUpward:

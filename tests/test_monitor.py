@@ -313,6 +313,33 @@ class TestDigestIndex:
         for name in set(before.entries) - touched:
             assert reused.entries[name] is loaded.entries[name]
 
+    def test_only_digests_computed_in_this_process_are_fresh(self, tmp_path):
+        root = tmp_path / "root"
+        root.mkdir()
+        for name in ("a.txt", "b.txt"):
+            (root / name).write_text(name)
+        wait_for_ctime_to_pass(root / "a.txt", root / "b.txt")
+        cold = take_snapshot(root, stamp_prefix="prov_stamp-")
+        assert cold.fresh == {"a.txt", "b.txt"}
+        assert cold.copy_proof("a.txt") == (
+            cold.stat_keys["a.txt"], cold.entries["a.txt"], cold.stamp_ns
+        )
+        index = tmp_path / "root.index"
+        save_snapshot(cold, index)
+        loaded = load_snapshot(index, root)
+        assert loaded.fresh == set()
+        assert loaded.copy_proof("a.txt") is None
+
+        (root / "b.txt").write_text("changed")
+        warm = take_snapshot(root, previous=loaded, stamp_prefix="prov_stamp-")
+        assert warm.entries["a.txt"] is loaded.entries["a.txt"]
+        assert warm.fresh == {"b.txt"}  # a reused entry keeps the index's mark
+        assert warm.copy_proof("a.txt") is None
+        again = take_snapshot(root, previous=cold, stamp_prefix="prov_stamp-")
+        assert again.entries["a.txt"] is cold.entries["a.txt"]
+        assert again.fresh == {"a.txt", "b.txt"}
+        assert take_snapshot(root).copy_proof("a.txt") is None  # no stamp
+
     def test_round_trip_keeps_odd_names_and_every_field(self, tmp_path):
         snap = _snapshot_with_odd_names(tmp_path)
         assert snap.stamp_ns is not None

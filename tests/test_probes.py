@@ -11,7 +11,7 @@ from pathlib import Path
 
 from provwrap import cli
 
-from conftest import write_sample_project
+from conftest import ends_past_its_ctime_tick, write_sample_project
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,21 +22,28 @@ def test_probes_install_trace_a_run_and_uninstall(tmp_path, monkeypatch):
     workdir = tmp_path / "work"
     workdir.mkdir()
     write_sample_project(workdir)
+    script = workdir / "examples" / "main.py"
+    script.write_text(ends_past_its_ctime_tick(script.read_text()))
     monkeypatch.chdir(workdir)
+    command = ["--backend", "diff", "--", sys.executable, "examples/main.py"]
+    # A warm run, as the benchmark makes them: the three unchanged files'
+    # digests come from the digest index, so their copies are read back;
+    # example.png is made again and its digest is this run's, so it is not.
+    assert cli.run(command) == 0
+    (workdir / "example.png").unlink()
 
     tracer = probes.Tracer()
     tracer.install()
     patched = list(tracer._patches)
     try:
-        status = tracer.call(
-            "run", cli.run, ["--backend", "diff", "--", sys.executable, "examples/main.py"]
-        )
+        status = tracer.call("run", cli.run, command)
     finally:
         tracer.uninstall()
 
     assert status == 0
     assert sum(1 for span in tracer.spans if span[0] == "sha256@bundle") > 0
-    assert tracer.metrics()["bundle.sha256_calls"] == 4
+    assert tracer.metrics()["bundle.sha256_calls"] == 3
+    assert tracer.metrics()["bundle.files_copied"] == 4
     assert patched
     for module, attr, original in patched:
         assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
