@@ -99,7 +99,7 @@ class ArtifactRecord:
     size_bytes: int | None = None
     copied: bool = True
     skip_reason: str | None = None
-    # (key, entry, stamp_ns) from Snapshot.copy_proof when sha256 is this
+    # (entry, stamp_ns) from Snapshot.copy_proof when sha256 is this
     # run's digest of the file; write_bundle's alone, never in a document
     proof: CopyProof | None = field(default=None, compare=False, repr=False)
 
@@ -250,7 +250,7 @@ def _record(
     else:
         category = Category.OUTPUT
     if rel is None:
-        bundle_path = "inputs/_external/" + str(path).replace("/", "__")
+        bundle_path = "inputs/_external" + str(path)  # mirrors the absolute path
     else:
         top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}.get(category, "inputs")
         bundle_path = f"{top}/{rel}"

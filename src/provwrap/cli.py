@@ -32,14 +32,12 @@ from .classify import (
     inside_roots,
     watched_roots,
 )
-from .errors import ControlParseError
 from .monitor import (
     ControlDirective,
     FileEvent,
     Snapshot,
     diff_snapshots,
     load_snapshot,
-    parse_control_line,
     parse_control_stream,
     parse_trace_stream,
     save_snapshot,
@@ -182,9 +180,10 @@ def unify_timeline(
     Trace events are genuinely ordered: they must carry distinct seqs in
     trace order (the parser's numbering; gaps left by the root filter are
     fine), and the ones kept are returned unchanged. Control-file opens are
-    dropped, and the k-th directive takes the seq of the k-th open (later
-    directives the last open's), so no kept event shares its seq; with no
-    open, every directive takes the largest event seq plus one.
+    dropped, and a directive from control line i (its seq) takes the seq of
+    the i-th open (a later line the last open's), so no kept event shares
+    its seq; with no open, every directive takes the largest event seq plus
+    one.
 
     Snapshot diffs carry no intra-run ordering, so directive k takes seq k,
     and each event the index of the first directive naming its path (per
@@ -199,9 +198,9 @@ def unify_timeline(
         return kept, [
             dataclasses.replace(
                 directive,
-                seq=anchors[min(index, len(anchors) - 1)] if anchors else tail,
+                seq=anchors[min(directive.seq, len(anchors) - 1)] if anchors else tail,
             )
-            for index, directive in enumerate(directives)
+            for directive in directives
         ]
 
     base = Path.cwd() if cwd is None else Path(cwd)
@@ -219,30 +218,6 @@ def unify_timeline(
         for event in events
     ]
     return out_events, out_directives
-
-
-def read_control_lines(path: Path) -> list[str]:
-    """Read the control file as universal-newline UTF-8 text, line by line.
-
-    A line that is not valid UTF-8, or that the control grammar rejects,
-    becomes a blank line, with a warning naming its 1-based number: it still
-    consumes its seq index, and only that directive is lost instead of the
-    whole run.
-    """
-    data = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = []
-    for number, raw in enumerate(data.split(b"\n"), start=1):
-        try:
-            line = raw.decode("utf-8")
-            parse_control_line(line, number - 1)
-        except UnicodeDecodeError:
-            log.warning("control line %d is not valid UTF-8 and was ignored", number)
-            line = ""
-        except ControlParseError as exc:
-            log.warning("control %s; the line was ignored", exc)
-            line = ""
-        lines.append(line)
-    return lines
 
 
 def index_directory() -> Path | None:
@@ -428,7 +403,9 @@ def run(argv: list[str]) -> int:
 
         try:
             events, snapshots = backend.collect(control_path)
-            directives = parse_control_stream(read_control_lines(control_path))
+            # universal newlines; undecodable bytes reach the parser, which rejects their line
+            text = control_path.read_text(encoding="utf-8", errors="surrogateescape")
+            directives = parse_control_stream(text.split("\n"))
 
             events, directives = unify_timeline(
                 events,

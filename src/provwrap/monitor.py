@@ -16,7 +16,7 @@ import logging
 import os
 import re
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from stat import S_ISREG
@@ -87,66 +87,66 @@ class FileEvent:
     pid: int | None = None
 
 
-CopyProof = tuple[tuple[int, int], tuple[int, float, str], int]
-"""A key, entry and stamp_ns: what unchanged_since takes after the stat."""
+Entry = tuple[int, float, str, int, int]
+"""(size, mtime, sha256, st_ctime_ns, st_ino) of one file, stat'ed before hashing."""
+
+
+class IndexEntry(tuple):
+    """An Entry read from a digest index, not hashed by this process; equal to its tuple."""
+
+    __slots__ = ()
+
+
+CopyProof = tuple[Entry, int]
+"""An entry and stamp_ns: what unchanged_since takes after the stat."""
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """Recursive listing of regular files under root.
 
-    entries maps each relative path to (size, mtime, sha256). stat_keys maps
-    it to (st_ctime_ns, st_ino) as stat'ed before hashing, and stamp_ns is
-    the ctime of a stamp file created in root just before the walk (None
-    when there was none). The last two only decide, by unchanged_since,
-    whether a later snapshot of the same root may reuse a digest; a
-    snapshot without a stamp lends none.
-
-    fresh holds the paths whose digest a walk in this process computed from
-    the file's bytes, itself or in an earlier snapshot whose entry it
-    reused; a digest from load_snapshot is never fresh. Only a fresh digest
-    may vouch for a later copy of the file (see copy_proof). The mark is
-    not saved in the index, and snapshots compare equal without it.
+    entries maps each relative path to its Entry, and stamp_ns is the ctime
+    of a stamp file created in root just before the walk (None when there
+    was none). An entry's stat fields and stamp_ns only decide, by
+    unchanged_since, whether a later snapshot of the same root may reuse a
+    digest; a snapshot without a stamp lends none. An entry built by
+    load_snapshot is an IndexEntry, and a later snapshot that reuses it
+    shares the object, so it keeps that mark.
     """
 
     root: Path
-    entries: dict[str, tuple[int, float, str]]
-    stat_keys: dict[str, tuple[int, int]] = field(default_factory=dict)
+    entries: dict[str, Entry]
     stamp_ns: int | None = None
-    fresh: set[str] = field(default_factory=set, compare=False)
 
     def copy_proof(self, rel: str) -> CopyProof | None:
-        """Return rel's (key, entry, stamp_ns) for unchanged_since, or None.
+        """Return rel's (entry, stamp_ns) for unchanged_since, or None.
 
         With them, a stat of rel taken later in this process tells whether
         the file still holds the bytes its digest was computed from. None
-        when the digest is not fresh or the snapshot has no stamp: then
+        when the entry is an IndexEntry or the snapshot has no stamp: then
         nothing vouches for it, and a copy must be read to be checked.
         """
-        if self.stamp_ns is None or rel not in self.fresh:
+        entry = self.entries[rel]
+        if self.stamp_ns is None or isinstance(entry, IndexEntry):
             return None
-        return self.stat_keys[rel], self.entries[rel], self.stamp_ns
+        return entry, self.stamp_ns
 
 
-def unchanged_since(
-    st: os.stat_result,
-    key: tuple[int, int] | None,
-    entry: tuple[int, float, str] | None,
-    stamp_ns: int | None,
-) -> bool:
-    """True when st is still the file an earlier stat recorded as key and
-    entry, so that entry's digest may be reused.
+def unchanged_since(st: os.stat_result, entry: Entry | None, stamp_ns: int | None) -> bool:
+    """True when st is still the file an earlier stat recorded as entry, so
+    that entry's digest may be reused.
 
     Size, mtime and (st_ctime_ns, st_ino) must be unchanged, and the ctime
-    strictly older than stamp_ns, the ctime of a stamp file made after that
-    stat: one filesystem clock, as in git's "racily clean" rule. A change in
-    the stamp's own tick can leave every stat field equal, so a tie is never
-    trusted; without a stamp, nothing is.
+    strictly older than stamp_ns, the ctime of a stamp file made before the
+    stat that recorded entry: one filesystem clock, as in git's "racily
+    clean" rule. A change in the stamp's own tick can leave every stat
+    field equal, so a tie is never trusted; without a stamp, nothing is.
     """
     return (
         stamp_ns is not None
-        and key == (st.st_ctime_ns, st.st_ino)
+        and entry is not None
         and st.st_ctime_ns < stamp_ns
+        and entry[3:] == (st.st_ctime_ns, st.st_ino)
         and entry[:2] == (st.st_size, st.st_mtime)
     )
 
@@ -186,9 +186,8 @@ def take_snapshot(
     every file again. Unreadable files are skipped with a warning; they
     never abort the snapshot. Symlinked directories are not followed.
     previous may be an earlier run's snapshot, saved with save_snapshot and
-    read back with load_snapshot: the same rule decides every reuse. A
-    hashed file is fresh, and a reused entry is fresh when it was in
-    previous.
+    read back with load_snapshot: the same rule decides every reuse, and a
+    reused entry is previous's own object.
     """
     root = Path(root).resolve()
     if not root.is_dir():
@@ -198,9 +197,7 @@ def take_snapshot(
     elif previous.root != root:
         raise ValueError(f"snapshot roots differ: {previous.root} vs {root}")
     stamp_ns = None if stamp_prefix is None else _stamp_ctime_ns(root, stamp_prefix)
-    entries: dict[str, tuple[int, float, str]] = {}
-    stat_keys: dict[str, tuple[int, int]] = {}
-    fresh: set[str] = set()
+    entries: dict[str, Entry] = {}
     for dirpath, dirnames, filenames in os.walk(root):
         rel_dir = os.path.relpath(dirpath, root)
         prefix = "" if rel_dir == "." else rel_dir + "/"
@@ -214,25 +211,17 @@ def take_snapshot(
                 st = os.stat(full)
                 if not S_ISREG(st.st_mode):
                     continue  # fifos, sockets, devices
-                key = previous.stat_keys.get(rel)
-                if unchanged_since(st, key, previous.entries.get(rel), previous.stamp_ns):
-                    # share the previous objects: an unchanged file costs no memory
-                    entries[rel] = previous.entries[rel]
-                    stat_keys[rel] = key
-                    if rel in previous.fresh:
-                        fresh.add(rel)
-                    continue
-                entries[rel] = (st.st_size, st.st_mtime, sha256_file(Path(full)))
+                entry = previous.entries.get(rel)
+                # share the previous object: an unchanged file costs no memory
+                if not unchanged_since(st, entry, previous.stamp_ns):
+                    digest = sha256_file(Path(full))
+                    entry = (st.st_size, st.st_mtime, digest, st.st_ctime_ns, st.st_ino)
+                entries[rel] = entry
             except FileNotFoundError:
                 continue  # dangling symlink, or removed during the walk
             except OSError as exc:
                 log.warning("snapshot skipping unreadable file %s: %s", full, exc)
-                continue
-            stat_keys[rel] = (st.st_ctime_ns, st.st_ino)
-            fresh.add(rel)
-    return Snapshot(
-        root=root, entries=entries, stat_keys=stat_keys, stamp_ns=stamp_ns, fresh=fresh
-    )
+    return Snapshot(root=root, entries=entries, stamp_ns=stamp_ns)
 
 
 INDEX_FORMAT = "provwrap-snapshot-index"
@@ -285,8 +274,7 @@ def save_snapshot(snapshot: Snapshot, path: Path) -> None:
                 handle.write(data)
 
             put(json.dumps(header) + "\n")
-            for rel, (size, mtime, sha256) in snapshot.entries.items():
-                ctime_ns, ino = snapshot.stat_keys[rel]
+            for rel, (size, mtime, sha256, ctime_ns, ino) in snapshot.entries.items():
                 rel = rel.replace("\\", "\\\\").replace("\n", "\\n")
                 put(f"{size}\t{mtime!r}\t{ctime_ns}\t{ino}\t{sha256}\t{rel}\n")
             handle.write(_INDEX_END + digest.hexdigest().encode("ascii") + b"\n")
@@ -308,8 +296,8 @@ def load_snapshot(path: Path, root: Path) -> Snapshot | None:
     index of another directory (another path, or the same path with another
     st_dev/st_ino, i.e. a directory made anew) gives None with a debug log;
     a corrupt or truncated file gives None with a warning. With None, the
-    caller takes a cold snapshot: every file is hashed. No entry of the
-    snapshot returned is fresh: the index does not carry that mark.
+    caller takes a cold snapshot: every file is hashed. Every entry of the
+    snapshot returned is an IndexEntry.
     """
     root = Path(root).resolve()
     try:
@@ -349,7 +337,7 @@ def _read_index(handle: BinaryIO, root: Path, path: Path) -> Snapshot | None:
         if (header["dev"], header["ino"]) != (root_stat.st_dev, root_stat.st_ino):
             log.debug("digest index %s describes an earlier directory at %s", path, root)
             return None
-        snapshot = Snapshot(root=root, entries={}, stat_keys={}, stamp_ns=header["stamp_ns"])
+        snapshot = Snapshot(root=root, entries={}, stamp_ns=header["stamp_ns"])
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise _BadIndex(f"corrupt header: {exc!r}") from None
     for line in handle:
@@ -368,8 +356,8 @@ def _read_index(handle: BinaryIO, root: Path, path: Path) -> Snapshot | None:
             )
             if "\\" in rel:
                 rel = _REL_ESCAPE.sub(lambda m: "\n" if m[1] == "n" else m[1], rel)
-            snapshot.entries[rel] = (int(size), float(mtime), sha256)
-            snapshot.stat_keys[rel] = (int(ctime_ns), int(ino))
+            entry = (int(size), float(mtime), sha256, int(ctime_ns), int(ino))
+            snapshot.entries[rel] = IndexEntry(entry)
         except ValueError as exc:
             raise _BadIndex(f"corrupt entry line: {exc}") from None
     raise _BadIndex("truncated: no end line")
@@ -390,9 +378,9 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
     created = sorted(after_keys - before_keys)
     removed = sorted(before_keys - after_keys)
     modified = sorted(
-        rel  # [::2] of an entry is (size, sha256)
+        rel  # [:3:2] of an entry is (size, sha256)
         for rel in before_keys & after_keys
-        if before.entries[rel][::2] != after.entries[rel][::2]
+        if before.entries[rel][:3:2] != after.entries[rel][:3:2]
     )
     events: list[FileEvent] = []
     for group, kind in (
@@ -587,11 +575,17 @@ def parse_control_line(line: str, index: int) -> ControlDirective | None:
     """Parse one control-channel line (a trailing LF is ignored) at 0-based index.
 
     Returns None for a blank line; raises ControlParseError naming the
-    1-based line number for an unknown verb or a missing path.
+    1-based line number for a line holding undecodable bytes (lone
+    surrogates, as surrogateescape decoding leaves them), an unknown verb
+    or a missing path.
     """
     line = line[:-1] if line.endswith("\n") else line
     if line == "":
         return None
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ControlParseError(f"line {index + 1} is not valid UTF-8") from None
     verb, sep, arg = line.partition("\t")
     if verb == "END_RUN":
         run_name = arg if sep and arg != "" else None
@@ -606,10 +600,18 @@ def parse_control_line(line: str, index: int) -> ControlDirective | None:
 def parse_control_stream(lines: Iterable[str]) -> list[ControlDirective]:
     """Parse control-channel lines: VERB<TAB>ARG, one directive per line.
 
-    seq is the 0-based line index; blank lines are ignored but still
-    consume an index. The channel is wholly under this tool's protocol, so
-    any unknown verb or missing path is always an error naming the
-    (1-based) line number (see `parse_control_line`).
+    seq is the 0-based line index. Blank lines are ignored, and a line that
+    `parse_control_line` rejects is skipped with a warning naming its
+    1-based number; either still consumes its index, so only that
+    directive is lost, never the run.
     """
-    parsed = (parse_control_line(line, index) for index, line in enumerate(lines))
-    return [directive for directive in parsed if directive is not None]
+    directives = []
+    for index, line in enumerate(lines):
+        try:
+            directive = parse_control_line(line, index)
+        except ControlParseError as exc:
+            log.warning("control %s; the line was ignored", exc)
+            continue
+        if directive is not None:
+            directives.append(directive)
+    return directives

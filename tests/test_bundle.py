@@ -308,8 +308,7 @@ def _proved_segment(workdir, stamp_after_ctime):
     record = segment.records[0]
     st = os.stat(record.original_path)
     record.proof = (
-        (st.st_ctime_ns, st.st_ino),
-        (st.st_size, st.st_mtime, record.sha256),
+        (st.st_size, st.st_mtime, record.sha256, st.st_ctime_ns, st.st_ino),
         st.st_ctime_ns + stamp_after_ctime,
     )
     return segment

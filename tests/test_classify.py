@@ -204,8 +204,7 @@ class TestClassifyBasics:
             workdir,
         )
         record = segments[0].records[0]
-        expected = "inputs/_external/" + str(outside).replace("/", "__")
-        assert record.bundle_relative_path == expected
+        assert record.bundle_relative_path == "inputs/_external" + str(outside)
 
     def test_vanished_file_recorded_metadata_only(self, workdir, config):
         ghost = workdir / "gone.dat"
@@ -826,7 +825,7 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
             else:
                 category = Category.OUTPUT
             if name.startswith("../"):
-                bundle_path = "inputs/_external/" + str(path).replace("/", "__")
+                bundle_path = "inputs/_external" + str(path)
             else:
                 top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}
                 bundle_path = f"{top.get(category, 'inputs')}/{name}"

@@ -196,8 +196,8 @@ def _reference_unify_timeline(
         ]
         out_directives = []
         for index, directive in enumerate(directives):
-            if anchors:
-                anchor = anchors[min(index, len(anchors) - 1)]
+            if anchors:  # control line i is anchored at the i-th open
+                anchor = anchors[min(directive.seq, len(anchors) - 1)]
                 seq = anchor * 2 + 1
             else:
                 seq = len(events) * 2 + 1 + index
@@ -516,6 +516,26 @@ class TestRunEndToEnd:
             assert payload["entity"][key]["yprov:logged_by"] == "user"
 
 
+    def test_external_paths_that_differ_only_by_separators_get_distinct_bundle_paths(
+        self, project
+    ):
+        outside = project.parent / "ext"
+        names = ["a/b__c", "a__b/c"]
+        for name in names:
+            (outside / name).parent.mkdir(parents=True, exist_ok=True)
+            (outside / name).write_text(f"{name}\n")
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            "    fh.write('INPUT\\t../ext/a/b__c\\nINPUT\\t../ext/a__b/c\\n')\n"
+        )
+        status = run(["--backend", "diff", "--", sys.executable, "-c", child])
+        assert status == 0
+        external = project / "prov_0" / "inputs" / "_external"
+        for name in names:
+            mirrored = external / (outside / name).relative_to("/")
+            assert mirrored.read_text() == f"{name}\n"
+
     def test_missing_watch_directory_is_not_watched(self, project, caplog):
         nowhere = project.parent / "nowhere"
         child = (
@@ -747,8 +767,8 @@ class TestCopyTrust:
         assert run(_DIFF_RUN) == 0
         index = index_file(isolated_index_cache.resolve() / "provwrap", workdir)
         snapshot = load_snapshot(index, workdir)
-        size, mtime, _ = snapshot.entries["data/input.csv"]
-        snapshot.entries["data/input.csv"] = (size, mtime, "0" * 64)
+        entry = snapshot.entries["data/input.csv"]
+        snapshot.entries["data/input.csv"] = entry[:2] + ("0" * 64,) + entry[3:]
         save_snapshot(snapshot, index)
         capsys.readouterr()
 
@@ -797,6 +817,16 @@ sys.exit(status)
 """
 
 
+def _install_fake_strace(tmp_path, monkeypatch, source):
+    """Put an executable `strace` that runs the Python source first on PATH."""
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    strace = bin_dir / "strace"
+    strace.write_text(f"#!{sys.executable}\n{source}")
+    strace.chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+
+
 class TestUndecodableFileName:
     @pytest.mark.parametrize("backend", ["diff", "trace"])
     def test_one_undecodable_name_loses_only_its_record(
@@ -806,12 +836,7 @@ class TestUndecodableFileName:
         workdir.mkdir()
         (workdir / "main.py").write_text(_UNDECODABLE_CHILD)
         if backend == "trace":
-            bin_dir = tmp_path / "bin"
-            bin_dir.mkdir()
-            strace = bin_dir / "strace"
-            strace.write_text(f"#!{sys.executable}\n{_FAKE_STRACE}")
-            strace.chmod(0o755)
-            monkeypatch.setenv("PATH", f"{bin_dir}{os.pathsep}{os.environ['PATH']}")
+            _install_fake_strace(tmp_path, monkeypatch, _FAKE_STRACE)
         monkeypatch.chdir(workdir)
         with caplog.at_level("WARNING"):
             status = run(["--backend", backend, "--", sys.executable, "main.py"])
@@ -826,6 +851,56 @@ class TestUndecodableFileName:
         ]
         bad = repr(str(workdir / os.fsdecode(b"out\xff.csv")))
         assert any(bad in r.getMessage() for r in caplog.records)
+
+
+_ANCHOR_CHILD = """\
+import os
+control = os.environ["YPROV_CONTROL"]
+with open(control, "a") as fh:
+    fh.write("BOGUS\\tx\\n")
+with open("a.csv") as fh:
+    fh.read()
+with open(control, "a") as fh:
+    fh.write("END_RUN\\tfirst\\n")
+"""
+
+# the child's opens as strace reports them: one control-file open per line
+_ANCHOR_STRACE = """\
+import os, subprocess, sys
+args = sys.argv[1:]
+out = args.index("-o")
+status = subprocess.call(args[out + 2:])
+control = os.environ["YPROV_CONTROL"]
+with open(args[out + 1], "w") as fh:
+    fh.write('9 openat(AT_FDCWD, "main.py", O_RDONLY|O_CLOEXEC) = 3\\n')
+    for path, flags in ((control, "O_WRONLY|O_CREAT|O_APPEND"), ("a.csv", "O_RDONLY"),
+                        (control, "O_WRONLY|O_CREAT|O_APPEND")):
+        fh.write(f'9 openat(AT_FDCWD, "{path}", {flags}|O_CLOEXEC, 0666) = 3\\n')
+sys.exit(status)
+"""
+
+
+class TestTraceAnchoring:
+    def test_a_rejected_line_keeps_later_directives_at_their_own_open(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        workdir = (tmp_path / "work").resolve()
+        workdir.mkdir()
+        (workdir / "main.py").write_text(_ANCHOR_CHILD)
+        (workdir / "a.csv").write_text("x\n1\n")
+        _install_fake_strace(tmp_path, monkeypatch, _ANCHOR_STRACE)
+        monkeypatch.chdir(workdir)
+        with caplog.at_level("WARNING"):
+            status = run(["--backend", "trace", "--", sys.executable, "main.py"])
+        assert status == 0
+        assert any("control line 1" in r.getMessage() for r in caplog.records)
+        # END_RUN is control line 2, so it is anchored at the second open,
+        # after the read of a.csv: a.csv belongs to the bundle it closes
+        first = json.loads((workdir / "prov_0" / "provenance.json").read_bytes())
+        assert list(first["activity"]) == ["yProv4DA:first"]
+        assert "yProv4DA:inputs/a.csv" in first["entity"]
+        rest = json.loads((workdir / "prov_1" / "provenance.json").read_bytes())
+        assert "yProv4DA:inputs/a.csv" not in rest["entity"]
 
 
 _SEGMENTED_CHILD = textwrap.dedent(

@@ -29,7 +29,7 @@ from provwrap import (
     take_snapshot,
 )
 from provwrap.classify import DEFAULT_EXCLUDES
-from provwrap.monitor import INDEX_VERSION, matches_exclusion
+from provwrap.monitor import INDEX_VERSION, IndexEntry, matches_exclusion, parse_control_line
 
 monitor = importlib.import_module("provwrap.monitor")
 
@@ -46,7 +46,7 @@ class TestTakeSnapshot:
         (tmp_path / "a.txt").write_text("hi")
         snap = take_snapshot(tmp_path)
         assert set(snap.entries) == {"a.txt"}
-        size, _, digest = snap.entries["a.txt"]
+        size, _, digest, _, _ = snap.entries["a.txt"]
         assert size == 2
         assert digest == SHA256_HI
 
@@ -120,10 +120,13 @@ class TestSnapshotDigestReuse:
         before = take_snapshot(root, stamp_prefix="prov_stamp-")
         touched = _mutate(root, mutations)
 
-        reused = take_snapshot(root, previous=before)
+        reused = take_snapshot(root, previous=before, stamp_prefix="prov_stamp-")
         assert reused.entries == take_snapshot(root).entries
         for name in set(before.entries) - touched:
             assert reused.entries[name] is before.entries[name]
+        # no entry came from an index, so every digest vouches for a copy
+        for name, entry in reused.entries.items():
+            assert reused.copy_proof(name) == (entry, reused.stamp_ns)
 
     def test_unchanged_file_shares_the_previous_entry(self, tmp_path):
         (tmp_path / "a.txt").write_text("same")
@@ -131,7 +134,6 @@ class TestSnapshotDigestReuse:
         before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
         after = take_snapshot(tmp_path, previous=before)
         assert after.entries["a.txt"] is before.entries["a.txt"]
-        assert after.stat_keys["a.txt"] is before.stat_keys["a.txt"]
 
     def test_a_wall_clock_ahead_of_the_stamp_lends_no_digest(self, tmp_path):
         # Two clocks: the index's stamp ties the file's ctime, and the index
@@ -151,7 +153,7 @@ class TestSnapshotDigestReuse:
         now = os.stat(target)
         tied = dataclasses.replace(
             before,
-            stat_keys={"data.bin": (now.st_ctime_ns, now.st_ino)},
+            entries={"data.bin": before.entries["data.bin"][:3] + (now.st_ctime_ns, now.st_ino)},
             stamp_ns=now.st_ctime_ns,
         )
         index = tmp_path / "root.index"
@@ -181,7 +183,7 @@ class TestSnapshotDigestReuse:
         # Model a same-size rewrite that a coarse clock puts in the stamp's
         # own tick: the stat key is unchanged and equals the stamp's ctime.
         now = os.stat(target)
-        before.stat_keys["data.bin"] = (now.st_ctime_ns, now.st_ino)
+        before.entries["data.bin"] = before.entries["data.bin"][:3] + (now.st_ctime_ns, now.st_ino)
         tied = dataclasses.replace(before, stamp_ns=now.st_ctime_ns)
 
         after = take_snapshot(tmp_path, previous=tied)
@@ -308,10 +310,13 @@ class TestDigestIndex:
 
         loaded = load_snapshot(index, root)
         assert loaded == before
-        reused = take_snapshot(root, previous=loaded)
+        reused = take_snapshot(root, previous=loaded, stamp_prefix="prov_stamp-")
         assert reused.entries == take_snapshot(root).entries
         for name in set(before.entries) - touched:
             assert reused.entries[name] is loaded.entries[name]
+        # only a digest hashed in this process vouches for a copy
+        for name, entry in reused.entries.items():
+            assert (reused.copy_proof(name) is None) == (entry is loaded.entries.get(name))
 
     def test_only_digests_computed_in_this_process_are_fresh(self, tmp_path):
         root = tmp_path / "root"
@@ -320,24 +325,23 @@ class TestDigestIndex:
             (root / name).write_text(name)
         wait_for_ctime_to_pass(root / "a.txt", root / "b.txt")
         cold = take_snapshot(root, stamp_prefix="prov_stamp-")
-        assert cold.fresh == {"a.txt", "b.txt"}
-        assert cold.copy_proof("a.txt") == (
-            cold.stat_keys["a.txt"], cold.entries["a.txt"], cold.stamp_ns
-        )
+        for name in ("a.txt", "b.txt"):
+            assert cold.copy_proof(name) == (cold.entries[name], cold.stamp_ns)
         index = tmp_path / "root.index"
         save_snapshot(cold, index)
         loaded = load_snapshot(index, root)
-        assert loaded.fresh == set()
+        assert all(type(entry) is IndexEntry for entry in loaded.entries.values())
         assert loaded.copy_proof("a.txt") is None
 
         (root / "b.txt").write_text("changed")
         warm = take_snapshot(root, previous=loaded, stamp_prefix="prov_stamp-")
         assert warm.entries["a.txt"] is loaded.entries["a.txt"]
-        assert warm.fresh == {"b.txt"}  # a reused entry keeps the index's mark
-        assert warm.copy_proof("a.txt") is None
+        assert warm.copy_proof("a.txt") is None  # a reused entry keeps the index's mark
+        assert warm.copy_proof("b.txt") == (warm.entries["b.txt"], warm.stamp_ns)
         again = take_snapshot(root, previous=cold, stamp_prefix="prov_stamp-")
         assert again.entries["a.txt"] is cold.entries["a.txt"]
-        assert again.fresh == {"a.txt", "b.txt"}
+        for name in ("a.txt", "b.txt"):
+            assert again.copy_proof(name) == (again.entries[name], again.stamp_ns)
         assert take_snapshot(root).copy_proof("a.txt") is None  # no stamp
 
     def test_round_trip_keeps_odd_names_and_every_field(self, tmp_path):
@@ -349,10 +353,11 @@ class TestDigestIndex:
         loaded = load_snapshot(index, tmp_path)
         assert loaded == snap
         assert list(loaded.entries) == list(snap.entries)
-        for rel, (size, mtime, _) in loaded.entries.items():
+        for rel, (size, mtime, _, ctime_ns, ino) in loaded.entries.items():
             st = os.stat(tmp_path / rel)
-            assert (size, mtime) == (st.st_size, st.st_mtime)
-            assert loaded.stat_keys[rel] == (st.st_ctime_ns, st.st_ino)
+            assert (size, mtime, ctime_ns, ino) == (
+                st.st_size, st.st_mtime, st.st_ctime_ns, st.st_ino
+            )
 
     def test_loaded_index_lets_the_next_snapshot_reuse_every_digest(self, tmp_path):
         snap = _snapshot_with_odd_names(tmp_path)
@@ -640,11 +645,27 @@ class TestControlStream:
     )
     def test_protocol_violations_name_the_line(self, line, lineno):
         with pytest.raises(ControlParseError, match=f"line {lineno}"):
-            parse_control_stream([line])
+            parse_control_line(line, lineno - 1)
 
     def test_error_line_number_counts_from_one(self):
         with pytest.raises(ControlParseError, match="line 3"):
-            parse_control_stream(["INPUT\ta", "OUTPUT\tb", "NOPE"])
+            parse_control_line("NOPE", 2)
+
+    def test_undecodable_bytes_name_the_line(self):
+        line = b"INPUT\tbad\xff.csv".decode("utf-8", errors="surrogateescape")
+        with pytest.raises(ControlParseError, match="line 4 is not valid UTF-8"):
+            parse_control_line(line, 3)
+
+    def test_a_rejected_line_is_skipped_and_keeps_its_index(self, caplog):
+        with caplog.at_level("WARNING", logger="provwrap.monitor"):
+            directives = parse_control_stream(["INPUT\ta", "NOPE\tx", "OUTPUT\tb"])
+        assert [(d.kind, d.path, d.seq) for d in directives] == [
+            (DirectiveKind.INPUT, "a", 0),
+            (DirectiveKind.OUTPUT, "b", 2),
+        ]
+        assert [r.getMessage() for r in caplog.records] == [
+            "control line 2: unknown verb 'NOPE'; the line was ignored"
+        ]
 
     def test_round_trip_through_canonical_line_form(self):
         cases = [

@@ -41,7 +41,14 @@ def test_probes_install_trace_a_run_and_uninstall(tmp_path, monkeypatch):
         tracer.uninstall()
 
     assert status == 0
-    assert sum(1 for span in tracer.spans if span[0] == "sha256@bundle") > 0
+    # every probed layer ran: a name the pipeline stopped calling would
+    # leave its metric silently at 0
+    assert {span[0] for span in tracer.spans} == {
+        "allocate", "build", "capture", "classify", "control_parse", "diff",
+        "exclusion@classify", "exclusion@monitor", "prov_json", "rocrate", "run",
+        "sha256@bundle", "sha256@monitor", "snapshot", "unify", "validate",
+        "write_bundle",
+    }
     assert tracer.metrics()["bundle.sha256_calls"] == 3
     assert tracer.metrics()["bundle.files_copied"] == 4
     assert patched
