@@ -1,10 +1,10 @@
 """Bundle directory allocation and writing.
 
 A bundle is one numbered directory (<base>_<k>) holding the copied
-artifacts under inputs/, outputs/ and src/, the provenance records, and
-the crate descriptor. The copied entry script re-executes from the
-original working directory because artifact layout mirrors
-working-directory-relative paths.
+artifacts under inputs/, outputs/, src/ and _external/ (files outside the
+working directory), the provenance records, and the crate descriptor.
+The copied entry script re-executes from the original working directory
+because artifact layout mirrors working-directory-relative paths.
 """
 
 from __future__ import annotations

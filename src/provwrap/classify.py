@@ -21,6 +21,7 @@ from .monitor import (
     DirectiveKind,
     EventKind,
     FileEvent,
+    PathResolver,
     Snapshot,
     matches_exclusion,
     sha256_file,
@@ -134,16 +135,16 @@ class _PathState:
     untracked: bool = False
 
 
-def directive_path(directive: ControlDirective, cwd: Path) -> Path | None:
-    """Return the resolved path a directive names, or None if it names none.
+def directive_path(directive: ControlDirective, resolve: PathResolver) -> Path | None:
+    """Return the path a directive names, by resolve, or None if it names none.
 
     END_RUN names no path, and a path holding TAB or LF is ignored: the
-    control format cannot carry it. A relative path is taken from cwd.
+    control format cannot carry it. resolve takes it from the working directory.
     """
     raw = directive.path
     if directive.kind is DirectiveKind.END_RUN or "\t" in raw or "\n" in raw:
         return None
-    return (cwd / raw).resolve()
+    return resolve(raw)
 
 
 def exclusion_patterns(
@@ -157,12 +158,8 @@ def exclusion_patterns(
     patterns = tuple(config.excludes) + (f"{config.provenance_directory}_*",)
     if root is None:
         return patterns
-    below = inside_roots([root])
-    return patterns + tuple(
-        glob.escape(other.relative_to(root).as_posix())
-        for other in roots
-        if other != root and below(other)
-    )
+    below = (other.relative_to(root).as_posix() for other in roots if root in other.parents)
+    return patterns + tuple(glob.escape(rel) for rel in below)
 
 
 def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
@@ -177,66 +174,48 @@ def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
         extra = (cwd / extra).resolve()
         if not extra.is_dir():
             log.warning("watch directory does not exist, skipping: %s", extra)
-        elif not inside_roots(roots)(extra):
+        elif locate(roots)(extra) is None:
             roots.append(extra)
     return roots
 
 
-def inside_roots(roots: Iterable[Path]) -> Callable[[Path], bool]:
-    """Return a test: is a resolved path one of roots, or below one of them?
+def locate(roots: Iterable[Path]) -> Callable[[Path], tuple[Path, str] | None]:
+    """Return a lookup: a resolved path's innermost holding root among roots
+    (roots nest with `--watch ..`; the inner one's snapshot lists the path)
+    and its name there ("." for the root), or None outside every root. By
+    string prefix, equivalent to `path == root or root in path.parents`."""
+    # descending: of two roots holding a path, the inner one is the longer prefix
+    prefixes = sorted(((str(root).rstrip("/") + "/", root) for root in roots), reverse=True)
 
-    A string-prefix test on the resolved paths, equivalent to
-    `path == root or root in path.parents` for every root.
-    """
-    exact = {str(root) for root in roots}
-    prefixes = tuple(text.rstrip("/") + "/" for text in exact)
-
-    def test(path: Path) -> bool:
-        text = str(path)
-        return text in exact or text.startswith(prefixes)
-
-    return test
-
-
-def _relative_to_cwd(path: Path, cwd: Path) -> str | None:
-    try:
-        return path.relative_to(cwd).as_posix()
-    except ValueError:
+    def find(path: Path) -> tuple[Path, str] | None:
+        text = str(path) + "/"
+        for prefix, root in prefixes:
+            if text.startswith(prefix):
+                return root, text[len(prefix):-1] or "."
         return None
+
+    return find
 
 
 _Measured = tuple[int | None, str | None, CopyProof | None]  # size, sha256, proof
-
-
-def _snapshot_entry(path: Path, snapshots: Sequence[Snapshot]) -> _Measured | None:
-    """Return (size, sha256, copy proof) of path's snapshot entry, if it has one."""
-    for snapshot in snapshots:
-        try:
-            rel = path.relative_to(snapshot.root).as_posix()
-        except ValueError:
-            continue
-        entry = snapshot.entries.get(rel)
-        if entry is not None:
-            return entry[0], entry[2], snapshot.copy_proof(rel)
-    return None
 
 
 def _record(
     path: Path,
     st: _PathState,
     config: RunConfig,
-    cwd: Path,
+    rel: str | None,
     entry_script: Path | None,
     measured: _Measured,
 ) -> ArtifactRecord:
     """Build path's record: its category, bundle path and copy decision.
 
-    Every copy decision made at classify time is made here: a file without
-    a digest (gone or unreadable after the run) is `vanished`, an input
+    rel is path's name in the working directory, None outside it. Every
+    copy decision made at classify time is made here: a file without a
+    digest (gone or unreadable after the run) is `vanished`, an input
     follows `config.input_copies`, and any other file above the size limit
     is metadata-only.
     """
-    rel = _relative_to_cwd(path, cwd)
     if rel == "requirements.txt":
         category = Category.ENVIRONMENT
     elif path == entry_script or st.read_seen and (
@@ -250,7 +229,8 @@ def _record(
     else:
         category = Category.OUTPUT
     if rel is None:
-        bundle_path = "inputs/_external" + str(path)  # mirrors the absolute path
+        # beside inputs/, outputs/ and src/, where no working-directory path lands
+        bundle_path = "_external" + str(path)
     else:
         top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}.get(category, "inputs")
         bundle_path = f"{top}/{rel}"
@@ -283,6 +263,7 @@ def classify(
     cwd: Path,
     entry_script: Path | None = None,
     snapshots: Sequence[Snapshot] = (),
+    roots: Sequence[Path] | None = None,
 ) -> list[RunSegment]:
     """Partition the merged timeline into segments of classified records.
 
@@ -294,38 +275,41 @@ def classify(
     Within a segment, a path both read and created collapses into a single
     Input record flagged also_generated; UNTRACK anywhere in a segment
     removes that path's record entirely, and an UNTRACK in a later segment
-    downgrades earlier copies of the path to metadata-only. Directive paths
-    follow `directive_path`, and whether a path is excluded is decided once
-    per distinct path per call. A path that exists after the run but is not
-    a regular file (a directory, FIFO or device) gives no record, with an
-    error when a directive logged it; an INPUT or OUTPUT directive whose
-    path does not exist, and that no event names, gives no record and an
-    error: it names no file the run touched.
+    downgrades earlier copies of the path to metadata-only. A path that
+    exists after the run but is not a regular file (a directory, FIFO or
+    device) gives no record, with an error when a directive logged it; an
+    INPUT or OUTPUT directive whose path does not exist, and that no event
+    names, gives no record and an error: it names no file the run touched.
 
-    A record whose file is listed in one of snapshots (looked up by its path
-    relative to the snapshot root) takes size and sha256 from that entry,
-    and its proof from `Snapshot.copy_proof`; every other path is hashed
-    now, once per call however many records it has, and gets no proof. A
-    path that cannot be encoded as UTF-8 (a file name with undecodable
-    bytes) gives no record: the provenance formats are UTF-8 text, so its
-    segment gets an error naming the path instead.
+    A `PathResolver` takes directive paths and the entry script from cwd.
+    Once per call, `locate` places each distinct path in its innermost root
+    of roots (`watched_roots(config, cwd)` when None); it is excluded when
+    its name there, or outside every root its absolute path, matches
+    `exclusion_patterns(config)`, as in that root's snapshot walk, and a
+    file that root's snapshot lists takes size, sha256 and proof
+    (`Snapshot.copy_proof`) from its entry; any other is hashed now, with
+    no proof. A path that cannot be encoded as UTF-8 gives no record: the
+    provenance formats are UTF-8 text, so its segment gets an error.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
         raise ValueError("cwd must be an absolute path")
     cwd = cwd.resolve()
+    resolve = PathResolver(cwd)
     if entry_script is not None:
-        entry_script = Path(entry_script).resolve()
+        entry_script = resolve(entry_script)
 
+    find = locate(watched_roots(config, cwd) if roots is None else roots)
     patterns = exclusion_patterns(config)
-    verdicts: dict[Path, bool] = {}  # this call's exclusion answer per path
+    scoped: dict[Path, tuple] = {}  # this call's (locate's answer, excluded) per path
 
-    def excluded(path: Path) -> bool:
-        if path not in verdicts:
-            rel = _relative_to_cwd(path, cwd)
-            verdicts[path] = matches_exclusion(rel or str(path), patterns)
-        return verdicts[path]
+    def scope(path: Path) -> tuple[tuple[Path, str] | None, bool]:
+        if path not in scoped:
+            place = find(path)
+            scoped[path] = place, matches_exclusion(place[1] if place else str(path), patterns)
+        return scoped[path]
 
+    listed = {snapshot.root: snapshot for snapshot in snapshots}
     named = {event.path for event in events}
     # this call's (size, sha256, copy proof) per path; no sha256 when it is
     # gone or unreadable, and None when it exists but is not a regular file
@@ -335,12 +319,13 @@ def classify(
         # Every record is measured after the child has exited, so one
         # answer per path serves all of its records.
         if path not in measured:
-            entry = _snapshot_entry(path, snapshots)
+            root, rel = scope(path)[0] or (None, "")
+            entry = listed[root].entries.get(rel) if root in listed else None
             if entry is not None:
                 # hashed (or reused) by the after-snapshot; write_bundle
                 # checks the copy against it, or, with a proof, the
                 # source's stat, so a later change is caught
-                measured[path] = entry
+                measured[path] = entry[0], entry[2], listed[root].copy_proof(rel)
             elif not path.is_file():
                 measured[path] = None if path.exists() else (None, None, None)
             else:
@@ -364,8 +349,6 @@ def classify(
     forced = [entry_script] if entry_script is not None else []
     requirements = cwd / "requirements.txt"
     if requirements.is_file():
-        # deliberately unresolved: a symlinked manifest still classifies as
-        # the working directory's environment record
         forced.append(requirements)
 
     segments: list[RunSegment] = []
@@ -374,7 +357,7 @@ def classify(
     # None closes the last segment, which exists even when it is empty
     for item in [entry[3] for entry in timeline] + [None]:
         if isinstance(item, FileEvent):
-            if excluded(item.path):
+            if scope(item.path)[1]:
                 continue
             st = states.setdefault(item.path, _PathState())
             if item.kind is EventKind.READ_INTENT:
@@ -384,12 +367,12 @@ def classify(
             else:
                 st.write_seen = True
         elif item is not None and item.kind is not DirectiveKind.END_RUN:
-            path = directive_path(item, cwd)
+            path = directive_path(item, resolve)
             if path is None:
                 errors.append(
                     f"directive path contains TAB/LF and was ignored: {item.path!r}"
                 )
-            elif excluded(path):
+            elif scope(path)[1]:
                 continue
             elif item.kind is DirectiveKind.UNTRACK:
                 states.setdefault(path, _PathState()).untracked = True
@@ -406,7 +389,7 @@ def classify(
             # END_RUN or the end of the timeline: records follow first
             # mention, then each forced path not recorded nor untracked.
             paths = [path for path, st in states.items() if st.read_seen or st.write_seen]
-            paths += [path for path in forced if path not in paths and not excluded(path)]
+            paths += [path for path in forced if path not in paths and not scope(path)[1]]
             records: list[ArtifactRecord] = []
             for path in paths:
                 st = states.get(path) or _PathState()
@@ -420,12 +403,14 @@ def classify(
                     )
                     continue
                 size_and_digest = measure(path)
+                root, rel = scope(path)[0] or (None, None)
+                rel = rel if root == cwd else None
                 if size_and_digest is None:
                     if st.user_logged:
-                        shown = _relative_to_cwd(path, cwd) or str(path)
+                        shown = rel or str(path)
                         errors.append(f"directive path is not a regular file: {shown!r}")
                     continue
-                records.append(_record(path, st, config, cwd, entry_script, size_and_digest))
+                records.append(_record(path, st, config, rel, entry_script, size_and_digest))
             # Late UNTRACK: this segment's untracks downgrade matching records
             # that earlier segments produced (they stay in provenance but are
             # not copied).

@@ -29,12 +29,13 @@ from .classify import (
     classify,
     directive_path,
     exclusion_patterns,
-    inside_roots,
+    locate,
     watched_roots,
 )
 from .monitor import (
     ControlDirective,
     FileEvent,
+    PathResolver,
     Snapshot,
     diff_snapshots,
     load_snapshot,
@@ -156,15 +157,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 def detect_entry_script(command: list[str], cwd: Path, extensions: frozenset[str]) -> Path | None:
     """Best-effort guess of the wrapped command's entry script.
 
-    The first argument that resolves to an existing file with a source
-    extension wins; interpreter names and flags never resolve to files.
+    The first argument naming an existing file with a source extension wins,
+    taken from cwd by a `PathResolver`; interpreters and flags name none.
     """
     for arg in command:
-        candidate = Path(arg)
-        if not candidate.is_absolute():
-            candidate = cwd / candidate
-        if candidate.is_file() and candidate.suffix in extensions:
-            return candidate.resolve()
+        candidate = cwd / arg  # isfile below, unlike Path.is_file, is False for a name too long
+        if os.path.isfile(candidate) and candidate.suffix in extensions:
+            return PathResolver(cwd)(arg)
     return None
 
 
@@ -203,10 +202,10 @@ def unify_timeline(
             for directive in directives
         ]
 
-    base = Path.cwd() if cwd is None else Path(cwd)
+    resolve = PathResolver(Path.cwd() if cwd is None else Path(cwd))
     mentioned: dict[Path, int] = {}
     for index, directive in enumerate(directives):
-        path = directive_path(directive, base)
+        path = directive_path(directive, resolve)
         if path is not None:
             mentioned.setdefault(path, index)
     out_directives = [
@@ -284,12 +283,11 @@ class DiffBackend:
 
     trace_order = False
 
-    def __init__(self, scratch: Path, cwd: Path, config: RunConfig) -> None:
-        roots = watched_roots(config, cwd)
+    def __init__(self, scratch: Path, roots: list[Path], config: RunConfig) -> None:
         self.excludes = {root: exclusion_patterns(config, root, roots) for root in roots}
         self.stamp_prefix = f"{config.provenance_directory}_stamp-"
         self.indexes = index_directory()
-        if self.indexes is not None and inside_roots(roots)(self.indexes):
+        if self.indexes is not None and locate(roots)(self.indexes) is not None:
             self.indexes = None  # provwrap's own files never enter a snapshot
         # The before-snapshot starts from the last run's after-snapshot, so
         # only the files changed since are read; the after-snapshots are
@@ -328,10 +326,10 @@ class TraceBackend:
 
     trace_order = True
 
-    def __init__(self, scratch: Path, cwd: Path, config: RunConfig) -> None:
+    def __init__(self, scratch: Path, roots: list[Path], config: RunConfig) -> None:
         self.trace_path = scratch / "trace"
-        self.cwd = cwd
-        self.watched = inside_roots(watched_roots(config, cwd))
+        self.cwd = roots[0]  # watched_roots lists the working directory first
+        self.locate = locate(roots)
 
     def spawn_argv(self, command: list[str]) -> list[str]:
         return ["strace", *_STRACE_ARGS, "-o", str(self.trace_path), *command]
@@ -339,7 +337,7 @@ class TraceBackend:
     def collect(self, control_path: Path) -> tuple[list[FileEvent], list[Snapshot]]:
         with open(self.trace_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
             events = parse_trace_stream(handle, cwd=self.cwd)
-        return [e for e in events if e.path == control_path or self.watched(e.path)], []
+        return [e for e in events if e.path == control_path or self.locate(e.path)], []
 
 
 def select_backend(choice: str) -> type[DiffBackend | TraceBackend]:
@@ -382,12 +380,13 @@ def run(argv: list[str]) -> int:
 
     cwd = Path.cwd().resolve()
     entry_script = detect_entry_script(command, cwd, config.source_extensions)
+    roots = watched_roots(config, cwd)
 
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
-        # Resolved so trace events (which are resolved) compare equal to it.
-        control_path = (Path(scratch) / "control").resolve()
+        # in the form the trace parser gives its open: directory resolved
+        control_path = Path(scratch).resolve() / "control"
         control_path.touch()
-        backend = select_backend(args.backend)(Path(scratch), cwd, config)
+        backend = select_backend(args.backend)(Path(scratch), roots, config)
         spawn_argv = backend.spawn_argv(command)
 
         try:
@@ -421,6 +420,7 @@ def run(argv: list[str]) -> int:
                 cwd,
                 entry_script=entry_script,
                 snapshots=snapshots,
+                roots=roots,
             )
 
             links: dict[tuple[str, int], Path] = {}  # this run's verified copies

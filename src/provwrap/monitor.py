@@ -389,8 +389,25 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
         (removed, EventKind.REMOVED),
     ):
         for rel in group:
-            events.append(FileEvent((before.root / rel).resolve(), kind, seq=len(events)))
+            events.append(FileEvent(before.root / rel, kind, seq=len(events)))
     return events
+
+
+class PathResolver:
+    """Takes path texts from base as a run records them: the directory part
+    resolved (symlinks, "." and "..") once per directory, the leaf as named,
+    so a symlinked file keeps the name a snapshot walk lists it by; a last
+    component "." or ".." (or none) resolves whole. One resolver, one run."""
+
+    def __init__(self, base: Path) -> None:
+        self.base = base
+        self._real_dir = functools.cache(os.path.realpath)
+
+    def __call__(self, path: str | os.PathLike[str]) -> Path:
+        head, leaf = os.path.split(os.path.join(self.base, path))
+        if leaf in ("", ".", ".."):
+            return Path(os.path.realpath(os.path.join(head, leaf)))
+        return Path(self._real_dir(head), leaf)
 
 
 # --- trace transcript parsing -----------------------------------------------
@@ -461,19 +478,19 @@ def parse_trace_stream(
     parsing, so the event is ordered at the resume point. In lenient mode
     (default) malformed open lines and unpaired resumed lines are skipped
     with a warning; in strict mode they raise TraceParseError naming the
-    line number. When cwd is given, every path is joined to it (absolute
-    paths stay as they are) and resolved with Path.resolve(), symlinked
-    leaves included.
+    line number.
 
-    Each distinct quoted path text is unescaped and resolved once per call
-    and its Path shared by all its events, so the filesystem is consulted
-    per distinct path, not per event; an unknown escape is warned about
-    once. A transcript is parsed after its run, so resolving a path once
-    gives each of its events the answer it would get on its own.
+    When cwd is given, one PathResolver takes every path from it (so a
+    symlinked leaf keeps its name). Each distinct quoted path text is
+    unescaped and resolved once per call and its Path shared by all its
+    events, so the filesystem is consulted per distinct directory, not per
+    event, and an unknown escape is warned about once. A transcript is
+    parsed after its run, so each event gets the answer it would get alone.
     """
     events: list[FileEvent] = []
     pending: dict[tuple[int | None, str], str] = {}
     resolved: dict[str, Path] = {}
+    resolve = Path if cwd is None else PathResolver(cwd)  # Path: kept as written
     from_dirfd: list[int] = []  # line numbers of openat calls relative to a dirfd
 
     def problem(lineno: int, message: str) -> None:
@@ -519,9 +536,7 @@ def parse_trace_stream(
             continue
         path = resolved.get(raw_path)
         if path is None:
-            path = Path(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
-            if cwd is not None:
-                path = (cwd / path).resolve()
+            path = resolve(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
             resolved[raw_path] = path
         kind = EventKind.WRITE_INTENT if flag_set & _WRITE_FLAGS else EventKind.READ_INTENT
         events.append(FileEvent(path=path, kind=kind, seq=len(events), pid=pid))

@@ -31,7 +31,7 @@ from provwrap import (
     validate,
 )
 
-from provwrap.classify import inside_roots, watched_roots
+from provwrap.classify import locate, watched_roots
 from provwrap.cli import build_arg_parser
 
 from conftest import make_meta, make_record
@@ -204,7 +204,7 @@ class TestClassifyBasics:
             workdir,
         )
         record = segments[0].records[0]
-        assert record.bundle_relative_path == "inputs/_external" + str(outside)
+        assert record.bundle_relative_path == "_external" + str(outside)
 
     def test_vanished_file_recorded_metadata_only(self, workdir, config):
         ghost = workdir / "gone.dat"
@@ -244,6 +244,14 @@ class TestDirectiveErrors:
         )
         assert segments[0].records == []
         assert segments[0].errors == ["directive path does not exist: 'nope'"]
+
+    def test_directive_on_a_symlink_loop_gives_no_record(self, workdir, config):
+        (workdir / "loop").symlink_to("loop")
+        segments = classify(
+            [], [_directive(DirectiveKind.INPUT, "loop", 0)], config, workdir
+        )
+        assert segments[0].records == []
+        assert segments[0].errors == ["directive path does not exist: 'loop'"]
 
     @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
     def test_directive_on_something_not_a_regular_file_gives_no_record(
@@ -695,21 +703,23 @@ _COMPONENTS = st.sampled_from(["a", "ab", "b", "a.b", "work", "work2"])
     path=st.lists(_COMPONENTS, max_size=4),
     roots=st.lists(st.lists(_COMPONENTS, max_size=3), min_size=1, max_size=3),
 )
-def test_inside_roots_agrees_with_path_parents(path, roots):
+def test_locate_agrees_with_path_parents(path, roots):
     resolved = PurePosixPath("/", *path)
     root_paths = [PurePosixPath("/", *root) for root in roots]
-    expected = any(
-        resolved == root or root in resolved.parents for root in root_paths
-    )
-    assert inside_roots(root_paths)(resolved) is expected
+    holding = [root for root in root_paths if resolved == root or root in resolved.parents]
+    expected = None
+    if holding:
+        innermost = max(holding, key=lambda root: len(root.parts))
+        expected = innermost, resolved.relative_to(innermost).as_posix()
+    assert locate(root_paths)(resolved) == expected
 
 
-def test_inside_roots_rejects_a_sibling_sharing_the_prefix():
-    inside = inside_roots([PurePosixPath("/data/work")])
-    assert inside(PurePosixPath("/data/work"))
-    assert inside(PurePosixPath("/data/work/x.csv"))
-    assert not inside(PurePosixPath("/data/work2/x.csv"))
-    assert not inside(PurePosixPath("/data"))
+def test_locate_rejects_a_sibling_sharing_the_prefix():
+    find = locate([PurePosixPath("/data/work")])
+    assert find(PurePosixPath("/data/work")) == (PurePosixPath("/data/work"), ".")
+    assert find(PurePosixPath("/data/work/x.csv")) == (PurePosixPath("/data/work"), "x.csv")
+    assert find(PurePosixPath("/data/work2/x.csv")) is None
+    assert find(PurePosixPath("/data")) is None
 
 
 # --- reference model ---------------------------------------------------------
@@ -825,7 +835,7 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
             else:
                 category = Category.OUTPUT
             if name.startswith("../"):
-                bundle_path = "inputs/_external" + str(path)
+                bundle_path = "_external" + str(path)
             else:
                 top = {Category.OUTPUT: "outputs", Category.SOURCE: "src"}
                 bundle_path = f"{top.get(category, 'inputs')}/{name}"

@@ -135,6 +135,10 @@ class TestEntryScriptDetection:
             == script.resolve()
         )
 
+    def test_an_argument_too_long_for_a_file_name_is_no_script(self, tmp_path):
+        code = "x = 1; " * 60  # one 420-byte path component: ENAMETOOLONG
+        assert detect_entry_script(["python", "-c", code], tmp_path, frozenset({".py"})) is None
+
 
 class TestUnifyTimeline:
     def test_diff_mode_anchors_events_to_mentioning_directive(self, tmp_path):
@@ -423,6 +427,21 @@ class TestRunEndToEnd:
             for key, attrs in payload["entity"].items()
             if attrs.get("yprov:skip_reason") == "vanished"
         ]
+        # a read through a symlinked leaf keeps the name the child used, and
+        # a read through sub/.. lands where the path resolves
+        outside = project.parent / "outside"
+        outside.mkdir()
+        (outside / "d.csv").write_text("target\n")
+        (project / "link.csv").symlink_to("../outside/d.csv")
+        (project / "sub").mkdir()
+        (project / "b.csv").write_text("b\n")
+        child = "open('link.csv').read(); open('sub/../b.csv').read()"
+        assert run(["--backend", "trace", "--", sys.executable, "-c", child]) == 0
+        bundle = project / "prov_1"
+        payload = json.loads((bundle / "provenance.json").read_bytes())
+        assert {"yProv4DA:inputs/link.csv", "yProv4DA:inputs/b.csv"} <= set(payload["entity"])
+        assert (bundle / "inputs" / "link.csv").read_text() == "target\n"
+        assert not [key for key in payload["entity"] if "_external" in key]
 
     def test_verbose_does_not_change_bundle_content(self, tmp_path, monkeypatch):
         results = {}
@@ -531,10 +550,61 @@ class TestRunEndToEnd:
         )
         status = run(["--backend", "diff", "--", sys.executable, "-c", child])
         assert status == 0
-        external = project / "prov_0" / "inputs" / "_external"
+        external = project / "prov_0" / "_external"
         for name in names:
             mirrored = external / (outside / name).relative_to("/")
             assert mirrored.read_text() == f"{name}\n"
+
+    def test_an_outside_file_and_a_working_directory_file_spelling_its_path_both_land(
+        self, project
+    ):
+        outside = project.parent / "ext" / "x.csv"
+        outside.parent.mkdir()
+        outside.write_text("outside\n")
+        spelled = Path("_external", *outside.parts[1:])  # cwd/_external/<abs>/ext/x.csv
+        (project / spelled).parent.mkdir(parents=True)
+        (project / spelled).write_text("inside\n")
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            f"    fh.write('INPUT\\t../ext/x.csv\\nINPUT\\t{spelled.as_posix()}\\n')\n"
+        )
+        status = run(["--backend", "diff", "--", sys.executable, "-c", child])
+        assert status == 0
+        bundle = project / "prov_0"
+        assert (bundle / "_external" / outside.relative_to("/")).read_text() == "outside\n"
+        assert (bundle / "inputs" / spelled).read_text() == "inside\n"
+
+    def test_symlinked_input_keeps_its_name_and_watch_roots_apply_the_excludes(
+        self, project
+    ):
+        data = project.parent / "data"
+        shared = project.parent / "shared"
+        (shared / "cache").mkdir(parents=True)
+        data.mkdir()
+        (data / "d.csv").write_text("target\n")
+        (shared / "cache" / "f.csv").write_text("cached\n")
+        (project / "link.csv").symlink_to("../data/d.csv")
+        child = (
+            "import os\n"
+            "open('link.csv').read()\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            "    fh.write('INPUT\\tlink.csv\\nINPUT\\t../shared/cache/f.csv\\n')\n"
+        )
+        status = run(
+            ["--backend", "diff", "--exclude", "cache", "--watch", "../shared", "--",
+             sys.executable, "-c", child]
+        )
+        assert status == 0
+        bundle = project / "prov_0"
+        payload = json.loads((bundle / "provenance.json").read_bytes())
+        linked = payload["entity"]["yProv4DA:inputs/link.csv"]
+        assert linked["yprov:logged_by"] == "user"
+        assert (bundle / "inputs" / "link.csv").read_text() == "target\n"
+        assert not (bundle / "inputs" / "link.csv").is_symlink()
+        # the walk of ../shared skips cache/, so its directive gives no record
+        assert not [key for key in payload["entity"] if "_external" in key]
+        assert not (bundle / "_external").exists()
 
     def test_missing_watch_directory_is_not_watched(self, project, caplog):
         nowhere = project.parent / "nowhere"

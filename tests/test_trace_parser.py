@@ -8,8 +8,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from provwrap import EventKind, RunConfig, TraceParseError, classify, parse_trace_stream
-from provwrap.monitor import _QUOTED
+from provwrap import (
+    Category,
+    EventKind,
+    RunConfig,
+    TraceParseError,
+    classify,
+    parse_trace_stream,
+    take_snapshot,
+)
+from provwrap.classify import DEFAULT_EXCLUDES, exclusion_patterns, watched_roots
+from provwrap.cli import TraceBackend
+from provwrap.monitor import _QUOTED, sha256_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -347,6 +357,8 @@ def _build_universe(root: Path) -> tuple[Path, list[str]]:
         "back\\slash.txt",
         "tab\tname.txt",
         os.fsdecode(b"bad\xff.txt"),
+        "link/..",
+        "link/.",
     ]
     return cwd, relative + [str(cwd / rel) for rel in relative[:8]]
 
@@ -364,8 +376,17 @@ def _quote(path: str, octal: list[bool]) -> bytes:
     return bytes(out)
 
 
+def _resolved_by_directory(cwd: Path, path: str) -> Path:
+    """The rule stated per event: realpath of the directory, then the leaf as named."""
+    joined = path if path.startswith("/") else f"{cwd}/{path}"
+    directory, _, leaf = joined.rpartition("/")
+    if leaf in ("", ".", ".."):
+        return Path(os.path.realpath(joined))
+    return Path(os.path.realpath(directory or "/"), leaf)
+
+
 _CALL = st.tuples(
-    st.integers(min_value=0, max_value=21),  # index into the path universe
+    st.integers(min_value=0, max_value=23),  # index into the path universe
     st.sampled_from(["read", "write", "creat", "failed"]),
     st.lists(st.booleans(), min_size=1, max_size=5),  # octal-escape pattern
     st.sampled_from([None, 7, 8]),
@@ -394,7 +415,7 @@ def test_parse_equals_per_event_resolve_oracle(tmp_path_factory, calls):
         lines.append((prefix + call + b"\n").decode("utf-8", "surrogateescape"))
         if kind != "failed":
             write = WRITE if kind in ("write", "creat") else READ
-            expected.append((Path(cwd / path).resolve(), write, pid))
+            expected.append((_resolved_by_directory(cwd, path), write, pid))
 
     events = parse_trace_stream(lines, strict=True, cwd=cwd)
     assert [(e.path, e.kind, e.pid) for e in events] == expected
@@ -424,3 +445,112 @@ def test_lstat_calls_bounded_by_distinct_paths(tmp_path, monkeypatch):
         counts.append(len(calls))
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def _traced(lines, roots, config, scratch):
+    """Events the trace backend keeps from a transcript, as `cli.run` collects them."""
+    scratch.mkdir(exist_ok=True)
+    (scratch / "trace").write_text("".join(lines), encoding="utf-8", errors="surrogateescape")
+    events, _ = TraceBackend(scratch, roots, config).collect(scratch / "control")
+    return events
+
+
+def test_path_fixture_gives_records_under_the_names_the_program_used(tmp_path):
+    base = tmp_path.resolve()
+    cwd, data, shared = base / "work", base / "data", base / "shared"
+    for directory in (cwd / "sub", data, shared / "cache"):
+        directory.mkdir(parents=True)
+    (cwd / "a.csv").write_text("a\n")
+    (cwd / "sub" / "b.csv").write_text("b\n")
+    (cwd / "ldir").symlink_to("sub")
+    (data / "d.csv").write_text("target\n")
+    (cwd / "link_out.csv").symlink_to("../data/d.csv")
+    (shared / "cache" / "f.csv").write_text("cached\n")
+    (shared / "g.csv").write_text("written\n")
+    config = RunConfig(watch_dirs=(Path("../shared"),), excludes=DEFAULT_EXCLUDES + ("cache",))
+    roots = watched_roots(config, cwd)
+    events = _traced(_read_fixture("trace_paths.txt"), roots, config, base / "scratch")
+    [segment] = classify(events, [], config, cwd, roots=roots)
+    # a symlinked leaf keeps its name (its content is the target's), a
+    # symlinked directory and ".." resolve, shared/cache is excluded by its
+    # name in its own root, and reads outside every root are dropped
+    assert [
+        (r.bundle_relative_path, r.category, r.original_path, r.sha256, r.copied)
+        for r in segment.records
+    ] == [
+        ("inputs/link_out.csv", Category.INPUT, cwd / "link_out.csv",
+         sha256_file(data / "d.csv"), True),
+        ("inputs/sub/b.csv", Category.INPUT, cwd / "sub" / "b.csv",
+         sha256_file(cwd / "sub" / "b.csv"), True),
+        ("inputs/a.csv", Category.INPUT, cwd / "a.csv", sha256_file(cwd / "a.csv"), True),
+        ("_external" + str(shared / "g.csv"), Category.OUTPUT, shared / "g.csv",
+         sha256_file(shared / "g.csv"), True),
+    ]
+    assert segment.errors == []
+
+
+def _scope_universe(base: Path) -> tuple[Path, list[str]]:
+    """cwd inside a watch root `top` (`--watch ..`), beside a watch root
+    `side`, with symlinked leaves and directories, `cache/` directories
+    and a bundle directory; returns cwd and path texts a program could use."""
+    top = base / "top"
+    cwd, side = top / "work", top / "side"
+    for directory in (cwd / "sub", cwd / "cache", cwd / "prov_0", side / "cache",
+                      top / "cache", base / "far"):
+        directory.mkdir(parents=True)
+    for path in (cwd / "a.csv", cwd / "sub" / "b.csv", cwd / "cache" / "wc.csv",
+                 cwd / "prov_0" / "p.csv", side / "s.csv", side / "cache" / "sc.csv",
+                 top / "t.csv", top / "cache" / "tc.csv", base / "far" / "f.csv"):
+        path.write_text(path.name)
+    (cwd / "ldir").symlink_to("sub")
+    (cwd / "leaf.csv").symlink_to("../side/s.csv")
+    (cwd / "far.csv").symlink_to("../../far/f.csv")
+    (side / "lside").symlink_to("../work/sub")
+    texts = [
+        "a.csv", "./a.csv", "sub/../a.csv", "../work/a.csv", "sub/b.csv", "ldir/b.csv",
+        "cache/wc.csv", "prov_0/p.csv", "leaf.csv", "far.csv", "../t.csv",
+        "../cache/tc.csv", "../side/s.csv", "../side/cache/sc.csv", "../side/lside/b.csv",
+        "../../far/f.csv",
+    ]
+    return cwd, texts + [str(cwd / text) for text in texts[:6]]
+
+
+@settings(
+    max_examples=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    picks=st.lists(st.integers(min_value=0, max_value=21), min_size=1, max_size=8),
+    excludes=st.lists(
+        st.sampled_from(["cache", "sub", "leaf.csv", "s.csv", "*/b.csv", "t.*"]), max_size=3
+    ),
+)
+def test_traced_reads_are_recorded_exactly_when_the_walk_lists_them(
+    tmp_path_factory, picks, excludes
+):
+    base = tmp_path_factory.mktemp("scope").resolve()
+    cwd, texts = _scope_universe(base)
+    config = RunConfig(
+        watch_dirs=(Path("../side"), Path("..")), excludes=DEFAULT_EXCLUDES + tuple(excludes)
+    )
+    roots = watched_roots(config, cwd)
+    assert roots == [cwd, cwd.parent / "side", cwd.parent]
+    listed = {
+        root: take_snapshot(root, exclusion_patterns(config, root, roots)).entries
+        for root in roots
+    }
+    lines = [f'7 openat(AT_FDCWD, "{texts[i]}", O_RDONLY) = 3\n' for i in picks]
+    events = _traced(lines, roots, config, base / "scratch")
+    [segment] = classify(events, [], config, cwd, roots=roots)
+    recorded = {record.original_path for record in segment.records}
+    expected = set()
+    for i in picks:
+        path = _resolved_by_directory(cwd, texts[i])
+        holding = [root for root in roots if root in path.parents]
+        if not holding:
+            continue  # outside every root: the trace backend drops it
+        root = max(holding, key=lambda root: len(root.parts))
+        if path.relative_to(root).as_posix() in listed[root]:
+            expected.add(path)
+    assert recorded == expected
