@@ -287,9 +287,12 @@ def classify(
     its name there, or outside every root its absolute path, matches
     `exclusion_patterns(config)`, as in that root's snapshot walk, and a
     file that root's snapshot lists takes size, sha256 and proof
-    (`Snapshot.copy_proof`) from its entry; any other is hashed now, with
-    no proof. A path that cannot be encoded as UTF-8 gives no record: the
-    provenance formats are UTF-8 text, so its segment gets an error.
+    (`Snapshot.copy_proof`) from its entry. Any other is stat'ed and hashed
+    now, and its proof is that stat and its root snapshot's stamp, made
+    before this call (the trace backend's snapshots are stamps with no
+    entries); without a stamp it has none. A path that cannot be encoded
+    as UTF-8 gives no record: the provenance formats are UTF-8 text, so
+    its segment gets an error.
     """
     cwd = Path(cwd)
     if not cwd.is_absolute():
@@ -320,19 +323,24 @@ def classify(
         # answer per path serves all of its records.
         if path not in measured:
             root, rel = scope(path)[0] or (None, "")
-            entry = listed[root].entries.get(rel) if root in listed else None
+            snapshot = listed.get(root)
+            entry = None if snapshot is None else snapshot.entries.get(rel)
             if entry is not None:
                 # hashed (or reused) by the after-snapshot; write_bundle
                 # checks the copy against it, or, with a proof, the
                 # source's stat, so a later change is caught
-                measured[path] = entry[0], entry[2], listed[root].copy_proof(rel)
+                measured[path] = entry[0], entry[2], snapshot.copy_proof(rel)
             elif not path.is_file():
                 measured[path] = None if path.exists() else (None, None, None)
             else:
                 size = None
                 try:
-                    size = path.stat().st_size
-                    measured[path] = (size, sha256_file(path), None)
+                    st = path.stat()  # after the snapshot's stamp, before the hash
+                    size = st.st_size
+                    entry = (size, st.st_mtime, sha256_file(path), st.st_ctime_ns, st.st_ino)
+                    stamp_ns = None if snapshot is None else snapshot.stamp_ns
+                    proof = None if stamp_ns is None else (entry, stamp_ns)
+                    measured[path] = (size, entry[2], proof)
                 except OSError as exc:
                     log.warning("could not hash %s: %s", path, exc)
                     measured[path] = (size, None, None)

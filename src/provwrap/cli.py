@@ -33,6 +33,7 @@ from .classify import (
     watched_roots,
 )
 from .monitor import (
+    _stamp_ctime_ns,
     ControlDirective,
     FileEvent,
     PathResolver,
@@ -328,16 +329,22 @@ class TraceBackend:
 
     def __init__(self, scratch: Path, roots: list[Path], config: RunConfig) -> None:
         self.trace_path = scratch / "trace"
-        self.cwd = roots[0]  # watched_roots lists the working directory first
+        self.roots = roots  # watched_roots lists the working directory first
         self.locate = locate(roots)
+        self.stamp_prefix = f"{config.provenance_directory}_stamp-"
 
     def spawn_argv(self, command: list[str]) -> list[str]:
         return ["strace", *_STRACE_ARGS, "-o", str(self.trace_path), *command]
 
     def collect(self, control_path: Path) -> tuple[list[FileEvent], list[Snapshot]]:
+        # One stamp per root, made after the child exits and before classify
+        # stats and hashes a file, so it vouches for those digests' copies.
+        stamped = [
+            Snapshot(root, {}, _stamp_ctime_ns(root, self.stamp_prefix)) for root in self.roots
+        ]
         with open(self.trace_path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            events = parse_trace_stream(handle, cwd=self.cwd)
-        return [e for e in events if e.path == control_path or self.locate(e.path)], []
+            events = parse_trace_stream(handle, cwd=self.roots[0])
+        return [e for e in events if e.path == control_path or self.locate(e.path)], stamped
 
 
 def select_backend(choice: str) -> type[DiffBackend | TraceBackend]:

@@ -8,6 +8,7 @@ append to (addressed via the YPROV_CONTROL environment variable).
 
 from __future__ import annotations
 
+import errno
 import fnmatch
 import functools
 import hashlib
@@ -183,8 +184,9 @@ def take_snapshot(
     suffix, created in root before the walk and unlinked at once; pick a
     prefix the excludes match, so a concurrent walk skips it. When root is
     not writable the snapshot has no stamp, and the next snapshot reads
-    every file again. Unreadable files are skipped with a warning; they
-    never abort the snapshot. Symlinked directories are not followed.
+    every file again. Unreadable files are skipped with a warning, dangling
+    symlinks and symlink loops silently; none aborts the snapshot.
+    Symlinked directories are not followed.
     previous may be an earlier run's snapshot, saved with save_snapshot and
     read back with load_snapshot: the same rule decides every reuse, and a
     reused entry is previous's own object.
@@ -217,10 +219,10 @@ def take_snapshot(
                     digest = sha256_file(Path(full))
                     entry = (st.st_size, st.st_mtime, digest, st.st_ctime_ns, st.st_ino)
                 entries[rel] = entry
-            except FileNotFoundError:
-                continue  # dangling symlink, or removed during the walk
             except OSError as exc:
-                log.warning("snapshot skipping unreadable file %s: %s", full, exc)
+                # a dangling symlink, a symlink loop or a file removed during the walk
+                if exc.errno not in (errno.ENOENT, errno.ELOOP):
+                    log.warning("snapshot skipping unreadable file %s: %s", full, exc)
     return Snapshot(root=root, entries=entries, stamp_ns=stamp_ns)
 
 

@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 from datetime import datetime
 from enum import Enum
 from typing import Sequence
+from urllib.parse import quote, unquote
 
 from .classify import ArtifactRecord, Category, LoggedBy, RunConfig
 from .errors import DocumentError
 from .runmeta import RunMetadata
 
 _HEX40 = re.compile(r"^[0-9a-f]{40}$")
+# what a local part cannot carry; \s matches exactly what str.isspace() accepts
+_ESCAPED = re.compile(r"[%\\\s]")
 
 
 def encode_local(text: str) -> str:
@@ -25,33 +28,15 @@ def encode_local(text: str) -> str:
 
     Locals must be free of whitespace and backslashes (path separators are
     always "/"); "%" itself is escaped so the encoding stays injective over
-    arbitrary path strings.
+    arbitrary path strings. Each such character becomes its UTF-8 bytes as
+    %XX escapes.
     """
-    out = []
-    for ch in text:
-        if ch == "%":
-            out.append("%25")
-        elif ch == "\\":
-            out.append("%5C")
-        elif ch.isspace():
-            out.append("".join("%{:02X}".format(b) for b in ch.encode("utf-8")))
-        else:
-            out.append(ch)
-    return "".join(out)
+    return _ESCAPED.sub(lambda match: quote(match[0], safe=""), text)
 
 
 def decode_local(text: str) -> str:
     """Inverse of :func:`encode_local` (decodes every %XX byte escape)."""
-    out = bytearray()
-    i = 0
-    while i < len(text):
-        if text[i] == "%" and i + 3 <= len(text):
-            out.append(int(text[i + 1 : i + 3], 16))
-            i += 3
-        else:
-            out.extend(text[i].encode("utf-8"))
-            i += 1
-    return out.decode("utf-8")
+    return unquote(text, errors="strict")
 
 
 @dataclass(frozen=True)
@@ -64,9 +49,19 @@ class QualifiedName:
 
 
 class RelationKind(Enum):
+    """A relation kind; its value is its PROV-JSON section name."""
+
     USED = "used"
     WAS_GENERATED_BY = "wasGeneratedBy"
     WAS_ASSOCIATED_WITH = "wasAssociatedWith"
+
+
+# each relation kind's subject and object node kinds, in PROV-JSON section order
+_ENDPOINTS = {
+    RelationKind.USED: ("activity", "entity"),
+    RelationKind.WAS_GENERATED_BY: ("entity", "activity"),
+    RelationKind.WAS_ASSOCIATED_WITH: ("activity", "agent"),
+}
 
 
 @dataclass(frozen=True)
@@ -131,22 +126,24 @@ def build_document(
     also_generated gets both on its single entity. Entity locals are the
     bundle-relative paths; original absolute paths are kept as an entity
     attribute. Relation ids are deterministic: u<k>/g<k> in record order,
-    a0 for the agent association.
+    a0 for the agent association; the relations list every used edge,
+    then every wasGeneratedBy edge, then a0.
     """
     prefix = config.prefix
     activity_id = QualifiedName(prefix, encode_local(run_name or config.run_name))
     agent_id = QualifiedName(prefix, "agent")
 
     entities: dict[str, ProvEntity] = {}
-    originals: dict[str, ArtifactRecord] = {}
-    edge_plan: list[tuple[QualifiedName, bool, bool]] = []
+    used: list[ProvRelation] = []
+    generated: list[ProvRelation] = []
     for record in records:
         qid = QualifiedName(prefix, encode_local(record.bundle_relative_path))
         key = str(qid)
         if key in entities:
             raise DocumentError(
                 f"duplicate bundle-relative path {record.bundle_relative_path!r}: "
-                f"{originals[key].original_path} and {record.original_path}"
+                f"{entities[key].extra_attributes['yprov:original_path']} "
+                f"and {record.original_path}"
             )
         extra = {"yprov:original_path": str(record.original_path)}
         if record.skip_reason:
@@ -160,43 +157,14 @@ def build_document(
             copied=record.copied,
             extra_attributes=extra,
         )
-        originals[key] = record
-        used = record.category is not Category.OUTPUT or record.also_generated
-        generated = record.category is Category.OUTPUT or record.also_generated
-        edge_plan.append((qid, used, generated))
-
-    relations: list[ProvRelation] = []
-    counter = 0
-    for qid, used, _ in edge_plan:
-        if used:
-            relations.append(
-                ProvRelation(
-                    RelationKind.USED,
-                    QualifiedName(prefix, f"u{counter}"),
-                    activity_id,
-                    qid,
-                )
-            )
-            counter += 1
-    counter = 0
-    for qid, _, generated in edge_plan:
-        if generated:
-            relations.append(
-                ProvRelation(
-                    RelationKind.WAS_GENERATED_BY,
-                    QualifiedName(prefix, f"g{counter}"),
-                    qid,
-                    activity_id,
-                )
-            )
-            counter += 1
-    relations.append(
-        ProvRelation(
-            RelationKind.WAS_ASSOCIATED_WITH,
-            QualifiedName(prefix, "a0"),
-            activity_id,
-            agent_id,
-        )
+        if record.category is not Category.OUTPUT or record.also_generated:
+            rid = QualifiedName(prefix, f"u{len(used)}")
+            used.append(ProvRelation(RelationKind.USED, rid, activity_id, qid))
+        if record.category is Category.OUTPUT or record.also_generated:
+            rid = QualifiedName(prefix, f"g{len(generated)}")
+            generated.append(ProvRelation(RelationKind.WAS_GENERATED_BY, rid, qid, activity_id))
+    associated = ProvRelation(
+        RelationKind.WAS_ASSOCIATED_WITH, QualifiedName(prefix, "a0"), activity_id, agent_id
     )
 
     activity = ProvActivity(
@@ -217,7 +185,7 @@ def build_document(
         entities=entities,
         activities={str(activity_id): activity},
         agents={str(agent_id): agent},
-        relations=tuple(relations),
+        relations=(*used, *generated, associated),
     )
 
 
@@ -268,24 +236,20 @@ def validate(doc: ProvDocument) -> list[str]:
     if not doc.activities:
         violations.append("document: at least one activity is required")
 
+    nodes = {"entity": doc.entities, "activity": doc.activities, "agent": doc.agents}
     seen_relation_ids: set[str] = set()
-    endpoint_rules = {
-        RelationKind.USED: (doc.activities, "activity", doc.entities, "entity"),
-        RelationKind.WAS_GENERATED_BY: (doc.entities, "entity", doc.activities, "activity"),
-        RelationKind.WAS_ASSOCIATED_WITH: (doc.activities, "activity", doc.agents, "agent"),
-    }
     for relation in doc.relations:
         rid = str(relation.relation_id)
         _check_name(relation.relation_id, f"relation {rid}", doc.prefixes, violations)
         if rid in seen_relation_ids:
             violations.append(f"relation {rid}: relation_id is not unique")
         seen_relation_ids.add(rid)
-        subjects, subject_kind, objects, object_kind = endpoint_rules[relation.kind]
-        if str(relation.subject) not in subjects:
+        subject_kind, object_kind = _ENDPOINTS[relation.kind]
+        if str(relation.subject) not in nodes[subject_kind]:
             violations.append(
                 f"relation {rid}: subject {relation.subject} is not a declared {subject_kind}"
             )
-        if str(relation.object) not in objects:
+        if str(relation.object) not in nodes[object_kind]:
             violations.append(
                 f"relation {rid}: object {relation.object} is not a declared {object_kind}"
             )

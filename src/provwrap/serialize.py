@@ -17,13 +17,13 @@ from typing import Any
 from .classify import Category, LoggedBy, RunSegment
 from .errors import DocumentError, ProvJsonError, RendererError
 from .provmodel import (
+    _ENDPOINTS,
     ProvActivity,
     ProvAgent,
     ProvDocument,
     ProvEntity,
     ProvRelation,
     QualifiedName,
-    RelationKind,
     decode_local,
     validate,
 )
@@ -32,21 +32,7 @@ from .runmeta import RunMetadata, format_timestamp, parse_timestamp
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_PROFILE = "https://w3id.org/ro/crate/1.1"
 
-_TOP_LEVEL_KEYS = (
-    "prefix",
-    "entity",
-    "activity",
-    "agent",
-    "used",
-    "wasGeneratedBy",
-    "wasAssociatedWith",
-)
-
-_RELATION_LAYOUT = {
-    RelationKind.USED: ("used", "prov:activity", "prov:entity"),
-    RelationKind.WAS_GENERATED_BY: ("wasGeneratedBy", "prov:entity", "prov:activity"),
-    RelationKind.WAS_ASSOCIATED_WITH: ("wasAssociatedWith", "prov:activity", "prov:agent"),
-}
+_TOP_LEVEL_KEYS = ("prefix", "entity", "activity", "agent", *(kind.value for kind in _ENDPOINTS))
 
 
 def _dump(obj: Any) -> bytes:
@@ -112,12 +98,8 @@ def to_prov_json(doc: ProvDocument) -> bytes:
         )
         for key in sorted(doc.agents)
     }
-    for kind in (
-        RelationKind.USED,
-        RelationKind.WAS_GENERATED_BY,
-        RelationKind.WAS_ASSOCIATED_WITH,
-    ):
-        section_name, subject_key, object_key = _RELATION_LAYOUT[kind]
+    for kind, node_kinds in _ENDPOINTS.items():
+        subject_key, object_key = (f"prov:{node_kind}" for node_kind in node_kinds)
         section = {
             str(rel.relation_id): {
                 subject_key: str(rel.subject),
@@ -127,7 +109,7 @@ def to_prov_json(doc: ProvDocument) -> bytes:
             if rel.kind is kind
         }
         if section:
-            top[section_name] = section
+            top[kind.value] = section
     return _dump(top)
 
 
@@ -256,14 +238,10 @@ def parse_prov_json(data: bytes) -> ProvDocument:
         agents[key] = ProvAgent(id=qid, username=username, hostname=hostname)
 
     relations: list[ProvRelation] = []
-    for kind in (
-        RelationKind.USED,
-        RelationKind.WAS_GENERATED_BY,
-        RelationKind.WAS_ASSOCIATED_WITH,
-    ):
-        section_name, subject_key, object_key = _RELATION_LAYOUT[kind]
-        for rid, raw in obj.get(section_name, {}).items():
-            context = f"{section_name} {rid}"
+    for kind, node_kinds in _ENDPOINTS.items():
+        subject_key, object_key = (f"prov:{node_kind}" for node_kind in node_kinds)
+        for rid, raw in obj.get(kind.value, {}).items():
+            context = f"{kind.value} {rid}"
             if not isinstance(raw, dict) or set(raw) != {subject_key, object_key}:
                 raise ProvJsonError(
                     f"{context}: relation object must carry exactly "
@@ -297,10 +275,10 @@ def _dot_escape(text: str) -> str:
 def to_dot(doc: ProvDocument) -> str:
     """Render the document as a deterministic directed graph.
 
-    Entities are ellipses, activities boxes, agents house-shaped; the
-    activity's attribute block becomes a note node hanging off a dashed
-    edge. Node statements are sorted by id, edge statements follow
-    relation order.
+    Entities are ellipses, activities boxes, agents house-shaped; each
+    activity's PROV-JSON attributes become `key = value` lines, in key
+    order, of a note node hanging off a dashed edge. Node statements are
+    sorted by id, edge statements follow relation order.
     """
     _require_valid(doc)
     nodes: list[tuple[str, str]] = []
@@ -322,17 +300,8 @@ def to_dot(doc: ProvDocument) -> str:
             )
         )
         note_id = f"{key}#attributes"
-        note_lines = [
-            f"command = {activity.command}",
-            f"startTime = {format_timestamp(activity.start_time)}",
-            f"endTime = {format_timestamp(activity.end_time)}",
-        ]
-        if activity.git_commit is not None:
-            note_lines.append(f"git_commit = {activity.git_commit}")
-        note_lines.append(f"exit_status = {activity.exit_status}")
-        for extra_key, extra_value in sorted(activity.extra_attributes.items()):
-            note_lines.append(f"{extra_key} = {extra_value}")
-        label = "\\l".join(_dot_escape(line) for line in note_lines) + "\\l"
+        attributes = _activity_attributes(activity).items()
+        label = "".join(_dot_escape(f"{name} = {value}") + "\\l" for name, value in attributes)
         nodes.append((note_id, f'"{_dot_escape(note_id)}" [label="{label}", shape=note];'))
         note_edges.append(f'"{_dot_escape(key)}" -> "{_dot_escape(note_id)}" [style=dashed];')
     for key, agent in doc.agents.items():
@@ -412,9 +381,7 @@ def to_rocrate_metadata(segment: RunSegment, meta: RunMetadata) -> bytes:
                 f"cannot describe {record.bundle_relative_path!r} in the crate: "
                 "copied record lacks digest or size"
             )
-    part_ids = sorted(record.bundle_relative_path for record in copied)
-    part_ids.append("provenance.json")
-    by_path = {record.bundle_relative_path: record for record in copied}
+    copied.sort(key=lambda record: record.bundle_relative_path)
 
     graph: list[dict[str, Any]] = [
         {
@@ -427,14 +394,15 @@ def to_rocrate_metadata(segment: RunSegment, meta: RunMetadata) -> bytes:
             "@id": "./",
             "@type": "Dataset",
             "datePublished": format_timestamp(meta.end_time),
-            "hasPart": [{"@id": part} for part in part_ids],
+            "hasPart": [
+                *({"@id": record.bundle_relative_path} for record in copied),
+                {"@id": "provenance.json"},
+            ],
             "name": segment.name,
         },
     ]
-    for part in part_ids:
-        if part == "provenance.json":
-            continue
-        record = by_path[part]
+    for record in copied:
+        part = record.bundle_relative_path
         entity: dict[str, Any] = {
             "@id": part,
             "@type": ["File", "SoftwareSourceCode"]

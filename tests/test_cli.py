@@ -851,20 +851,72 @@ class TestCopyTrust:
         workdir = (tmp_path / "work").resolve()
         _hash_project(workdir)
         monkeypatch.chdir(workdir)
-        out = workdir / "out.txt"
-        cli = importlib.import_module("provwrap.cli")
-        real_classify = cli.classify
-
-        def classify_then_rewrite(*args, **kwargs):
-            segments = real_classify(*args, **kwargs)
-            st = os.stat(out)
-            out.write_text("CREATED\n")  # same size and mtime, other bytes
-            os.utime(out, ns=(st.st_atime_ns, st.st_mtime_ns))
-            return segments
-
-        monkeypatch.setattr(cli, "classify", classify_then_rewrite)
+        _rewrite_after_classify(monkeypatch, workdir / "out.txt")
         assert run(_DIFF_RUN) == PROVENANCE_EXIT
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_trace_copies_of_unchanged_sources_are_not_read_back(
+        self, tmp_path, monkeypatch
+    ):
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        _install_fake_strace(tmp_path, monkeypatch, _HASH_STRACE)
+        monkeypatch.chdir(workdir)
+        calls = _count_hashes(monkeypatch)
+
+        assert run(_TRACE_RUN) == 0
+
+        # classify hashes each recorded file once, after its root's stamp,
+        # which then vouches for the copy
+        recorded = ["main.py", "data/input.csv", "data/edit.txt", "out.txt"]
+        assert calls["classify"] == Counter(workdir / rel for rel in recorded)
+        assert calls["monitor"] == Counter()
+        assert calls["bundle"] == Counter()
+        assert (workdir / "prov_0" / "outputs" / "out.txt").read_text() == "created\n"
+
+    def test_a_trace_source_rewritten_after_classify_is_caught_at_the_copy(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        _install_fake_strace(tmp_path, monkeypatch, _HASH_STRACE)
+        monkeypatch.chdir(workdir)
+        _rewrite_after_classify(monkeypatch, workdir / "out.txt")
+        assert run(_TRACE_RUN) == PROVENANCE_EXIT
+        assert "digest mismatch" in capsys.readouterr().err
+
+
+def _rewrite_after_classify(monkeypatch, path):
+    """Make cli.run's classify rewrite path once it returns: same size and
+    mtime, other bytes, so only its ctime tells."""
+    cli = importlib.import_module("provwrap.cli")
+    real_classify = cli.classify
+
+    def classify_then_rewrite(*args, **kwargs):
+        segments = real_classify(*args, **kwargs)
+        st = os.stat(path)
+        path.write_text(path.read_text().upper())
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        return segments
+
+    monkeypatch.setattr(cli, "classify", classify_then_rewrite)
+
+
+_TRACE_RUN = ["--backend", "trace", "--", sys.executable, "main.py"]
+
+# _HASH_CHILD's opens of recorded files, as strace reports them
+_HASH_STRACE = """\
+import subprocess, sys
+args = sys.argv[1:]
+out = args.index("-o")
+status = subprocess.call(args[out + 2:])
+with open(args[out + 1], "w") as fh:
+    for path, flags in (("main.py", "O_RDONLY"), ("data/input.csv", "O_RDONLY"),
+                        ("data/edit.txt", "O_WRONLY|O_CREAT|O_APPEND"),
+                        ("out.txt", "O_WRONLY|O_CREAT|O_TRUNC")):
+        fh.write(f'9 openat(AT_FDCWD, "{path}", {flags}|O_CLOEXEC, 0666) = 3\\n')
+sys.exit(status)
+"""
 
 
 _UNDECODABLE_CHILD = (

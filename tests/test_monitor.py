@@ -92,6 +92,15 @@ class TestTakeSnapshot:
         assert set(snap.entries) == {"fine.txt"}
         assert any("cursed.txt" in record.message for record in caplog.records)
 
+    def test_symlink_loop_skipped_silently(self, tmp_path, caplog):
+        # like a dangling symlink, a loop names no file: it is not unreadable
+        (tmp_path / "fine.txt").write_text("ok")
+        os.symlink("loop", tmp_path / "loop")
+        with caplog.at_level("WARNING"):
+            snap = take_snapshot(tmp_path)
+        assert set(snap.entries) == {"fine.txt"}
+        assert caplog.records == []
+
 
 _NAMES = ["a.txt", "b.txt", "sub/c.txt", "sub/d.bin", "sub/deep/e.bin"]
 _MUTATION = st.tuples(

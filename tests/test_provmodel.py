@@ -4,6 +4,8 @@ import dataclasses
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from provwrap import (
     Category,
@@ -17,6 +19,7 @@ from provwrap import (
     validate,
 )
 from provwrap.monitor import EventKind, FileEvent
+from provwrap.provmodel import decode_local, encode_local
 
 from conftest import make_meta, make_record
 
@@ -26,6 +29,42 @@ def _relation_counts(doc):
     for relation in doc.relations:
         counts[relation.kind] += 1
     return counts
+
+
+def _reference_encode_local(text):
+    """encode_local as a per-character loop: the specification it must match."""
+    out = []
+    for ch in text:
+        if ch == "%":
+            out.append("%25")
+        elif ch == "\\":
+            out.append("%5C")
+        elif ch.isspace():
+            out.append("".join("%{:02X}".format(b) for b in ch.encode("utf-8")))
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+# the escaped characters, a path separator, letters, a non-BMP character and
+# whitespace of one, two and three UTF-8 bytes (C0 and C1 controls, no-break, ideographic)
+_LOCAL_TEXT = st.text(
+    alphabet=st.sampled_from(
+        ["%", "\\", "/", "a", "Z", "\U0001F600", "\t", "\n", "\x1c", "\x85", "\xa0",
+         "\u2028", "\u3000"]
+    )
+)
+
+
+class TestLocalCodec:
+    @given(_LOCAL_TEXT)
+    def test_encode_matches_the_reference_loop_and_decodes_back(self, text):
+        encoded = encode_local(text)
+        assert encoded == _reference_encode_local(text)
+        assert decode_local(encoded) == text
+
+    def test_escapes(self):
+        assert encode_local("a b%c\\d\u3000e") == "a%20b%25c%5Cd%E3%80%80e"
 
 
 class TestBuildDocument:

@@ -274,6 +274,21 @@ class TestToDot:
             '[label="wasGeneratedBy"];' in text
         )
 
+    def test_note_lists_the_prov_json_activity_attributes(self):
+        text = to_dot(sample_document(make_meta(git_commit="c" * 40)))
+        lines = [
+            "prov:endTime = 2026-08-10T09:00:02.500Z",
+            "prov:startTime = 2026-08-10T09:00:00.000Z",
+            "yprov:command = python examples/main.py",
+            "yprov:exit_status = 0",
+            "yprov:git_commit = " + "c" * 40,
+        ]
+        label = "".join(line + "\\l" for line in lines)
+        assert (
+            f'  "yProv4DA:experiment_run#attributes" [label="{label}", shape=note];\n'
+            in text
+        )
+
     def test_user_logged_marker(self, meta, config):
         doc = build_document(
             [make_record(logged_by=LoggedBy.USER)], meta, config
