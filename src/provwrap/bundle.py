@@ -14,6 +14,7 @@ import logging
 import os
 import shutil
 import stat
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,6 +120,13 @@ def write_bundle(
 ) -> BundleReport:
     """Copy the segment's artifacts into bundle_dir, then describe them there.
 
+    bundle_dir must be empty: the reservation `allocate_run_dir` made. The
+    bundle is built in a sibling named <name>_tmp-<random> (the <dir>_*
+    exclusion hides it) and renamed over bundle_dir once every copy is
+    verified and every document written, so a reader sees bundle_dir empty
+    or complete. On an error the sibling is removed, bundle_dir stays empty
+    and the error, naming bundle files by their bundle-relative path, is raised.
+
     A copied record without a digest or size is refused before anything is
     written. Each source is opened once, fstat'ed, copied from that
     descriptor and fstat'ed again. The copy is verified against the
@@ -134,13 +142,14 @@ def write_bundle(
     and the crate take the segment's name.
 
     links, when given, maps a recorded (sha256, size_bytes) to the first
-    bundle copy with that content that has been copied and verified; the
-    caller owns it and passes the same dict to every bundle of one run. A
-    record whose content is already there is hard-linked to that copy
-    instead of copied, never to its source, so a later edit of the user's
-    file cannot reach a bundle; the shared inode loses its write bits. A
-    link shares the verified copy's bytes, so it is not read again. When
-    the filesystem refuses the link, the file is copied as usual.
+    published bundle copy with that content; the caller owns it and passes
+    the same dict to every bundle of one run, and this bundle's copies join
+    it once published. A record whose content is there, or earlier in this
+    bundle, is hard-linked to that copy instead of copied, never to its
+    source, so a later edit of the user's file cannot reach a bundle; the
+    shared inode loses its write bits. A link shares the verified copy's
+    bytes, so it is not read again. When the filesystem refuses the link,
+    the file is copied as usual.
     """
     bundle_dir = Path(bundle_dir)
     if not bundle_dir.is_dir():
@@ -154,70 +163,87 @@ def write_bundle(
             )
 
     report = BundleReport(bundle_dir=bundle_dir)
+    made: dict[tuple[str, int], Path] = {}  # this bundle's copies, until it is published
     made_dirs: set[Path] = set()
-    for record in segment.records:
-        if not record.copied:
-            continue
-        source = record.original_path
-        destination = bundle_dir / record.bundle_relative_path
-        opened = _open_file(source)
-        if opened is None:
-            report.warnings.append(
-                f"{source} vanished before copy; keeping metadata only"
-            )
-            record.copied = False
-            record.skip_reason = "vanished"
-            continue
-        fd, before = opened
-        try:
-            if destination.parent not in made_dirs:
-                destination.parent.mkdir(parents=True, exist_ok=True)
-                made_dirs.add(destination.parent)
-            content = (record.sha256, record.size_bytes)
-            shared = None if links is None else links.get(content)
-            if shared is None or not _link_shared(shared, destination):
-                _copy_from(fd, destination)
-                proof = record.proof
-                unchanged = (
-                    proof is not None
-                    and unchanged_since(before, *proof)
-                    and unchanged_since(os.fstat(fd), *proof)
+    build = Path(tempfile.mkdtemp(prefix=f"{bundle_dir.name}_tmp-", dir=bundle_dir.parent))
+    pending = build.with_name(build.name + ".provenance.json")  # the --json copy, until published
+    try:
+        os.chmod(build, stat.S_IMODE(os.stat(bundle_dir).st_mode))  # mkdtemp's is 0o700
+        for record in segment.records:
+            if not record.copied:
+                continue
+            source = record.original_path
+            destination = build / record.bundle_relative_path
+            opened = _open_file(source)
+            if opened is None:
+                report.warnings.append(
+                    f"{source} vanished before copy; keeping metadata only"
                 )
-                if not unchanged and sha256_file(destination) != record.sha256:
-                    raise BundleError(
-                        f"digest mismatch after copying {source} to {destination}; "
-                        "the file changed during packaging"
+                record.copied = False
+                record.skip_reason = "vanished"
+                continue
+            fd, before = opened
+            try:
+                if destination.parent not in made_dirs:
+                    destination.parent.mkdir(parents=True, exist_ok=True)
+                    made_dirs.add(destination.parent)
+                content = (record.sha256, record.size_bytes)
+                shared = None if links is None else links.get(content, made.get(content))
+                if shared is None or not _link_shared(shared, destination):
+                    _copy_from(fd, destination)
+                    proof = record.proof
+                    unchanged = (
+                        proof is not None
+                        and unchanged_since(before, *proof)
+                        and unchanged_since(os.fstat(fd), *proof)
                     )
-        finally:
-            os.close(fd)
-        if links is not None:
-            links.setdefault(content, destination)
-        report.bytes_copied += record.size_bytes
-        report.files_written.append(record.bundle_relative_path)
+                    if not unchanged and sha256_file(destination) != record.sha256:
+                        raise BundleError(
+                            f"digest mismatch after copying {source} to "
+                            f"{record.bundle_relative_path}; the file changed during packaging"
+                        )
+            finally:
+                os.close(fd)
+            made.setdefault(content, destination)
+            report.bytes_copied += record.size_bytes
+            report.files_written.append(record.bundle_relative_path)
 
-    doc = build_document(segment.records, meta, config, run_name=segment.name)
-    prov_json = to_prov_json(doc)
-    (bundle_dir / "provenance.json").write_bytes(prov_json)
-    report.files_written.append("provenance.json")
+        doc = build_document(segment.records, meta, config, run_name=segment.name)
+        prov_json = to_prov_json(doc)
+        (build / "provenance.json").write_bytes(prov_json)
+        report.files_written.append("provenance.json")
 
-    if config.create_dot_file or config.create_svg_file:
-        dot_text = to_dot(doc)
-        if config.create_dot_file:
-            (bundle_dir / "provenance.dot").write_text(dot_text, encoding="utf-8")
-            report.files_written.append("provenance.dot")
-        if config.create_svg_file:
-            svg = render_svg(dot_text)
-            (bundle_dir / "provenance.svg").write_bytes(svg)
-            report.files_written.append("provenance.svg")
+        if config.create_dot_file or config.create_svg_file:
+            dot_text = to_dot(doc)
+            if config.create_dot_file:
+                (build / "provenance.dot").write_text(dot_text, encoding="utf-8")
+                report.files_written.append("provenance.dot")
+            if config.create_svg_file:
+                svg = render_svg(dot_text)
+                (build / "provenance.svg").write_bytes(svg)
+                report.files_written.append("provenance.svg")
 
-    if config.create_rocrate:
-        crate = to_rocrate_metadata(segment, meta)
-        (bundle_dir / "ro-crate-metadata.json").write_bytes(crate)
-        report.files_written.append("ro-crate-metadata.json")
+        if config.create_rocrate:
+            crate = to_rocrate_metadata(segment, meta)
+            (build / "ro-crate-metadata.json").write_bytes(crate)
+            report.files_written.append("ro-crate-metadata.json")
 
+        if config.create_json_file:
+            pending.write_bytes(prov_json)
+        os.rename(build, bundle_dir)  # POSIX replaces the empty reservation atomically
+    except BaseException as exc:
+        shutil.rmtree(build, ignore_errors=True)
+        pending.unlink(missing_ok=True)
+        for attr in ("filename", "filename2"):  # a bundle file by its place in the bundle
+            name = getattr(exc, attr, None)
+            if isinstance(name, str) and f"{name}/".startswith(f"{build}/"):
+                setattr(exc, attr, os.path.relpath(name, build))
+        raise
     if config.create_json_file:
         # Standalone convenience copy beside the bundle, e.g. prov_0.provenance.json.
-        sibling = bundle_dir.with_name(bundle_dir.name + ".provenance.json")
-        sibling.write_bytes(prov_json)
-
+        os.rename(pending, bundle_dir.with_name(bundle_dir.name + ".provenance.json"))
+    if links is not None:
+        for content, copy in made.items():
+            if content not in links:  # by string: Path.relative_to costs a parse per copy
+                links[content] = bundle_dir / str(copy)[len(str(build)) + 1 :]
     return report

@@ -12,8 +12,8 @@ spawned at all.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import hashlib
 import logging
 import os
 import shutil
@@ -39,14 +39,16 @@ from .monitor import (
     PathResolver,
     Snapshot,
     diff_snapshots,
+    index_directory,
+    index_file,
     load_snapshot,
     parse_control_stream,
     parse_trace_stream,
-    save_snapshot,
+    save_indexes,
     take_snapshot,
 )
 from .provmodel import build_document  # unused; perfbench/probes.py patches it here
-from .runmeta import capture_run
+from .runmeta import RunMetadata, capture_run
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +57,6 @@ PROVENANCE_EXIT = 3
 SPAWN_EXIT = 127
 
 _STRACE_ARGS = ["-f", "-qq", "-e", "trace=open,openat,creat", "-s", "4096"]
-
-INDEX_FILES_KEPT = 64
-"""How many digest index files the cache directory keeps; the oldest by
-mtime are deleted after each save."""
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -220,64 +218,6 @@ def unify_timeline(
     return out_events, out_directives
 
 
-def index_directory() -> Path | None:
-    """Return the directory of the digest indexes, resolved.
-
-    $XDG_CACHE_HOME/provwrap, or ~/.cache/provwrap when XDG_CACHE_HOME is
-    unset or relative (a relative value is ignored, as the XDG base
-    directory spec asks); None when no home directory is known either.
-    """
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    if not os.path.isabs(base):
-        base = os.path.join(os.path.expanduser("~"), ".cache")
-        if not os.path.isabs(base):
-            return None
-    try:
-        return Path(base, "provwrap").resolve()
-    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
-        log.debug("no digest index directory under %s: %s", base, exc)
-        return None
-
-
-def index_file(directory: Path, root: Path) -> Path:
-    """Return the index file of a resolved root: a digest of its path."""
-    return directory / (hashlib.sha256(os.fsencode(root)).hexdigest() + ".index")
-
-
-def save_indexes(directory: Path, snapshots: list[Snapshot]) -> None:
-    """Save each snapshot as its root's index, then keep INDEX_FILES_KEPT files.
-
-    Never raises and never waits: a directory that cannot be created or
-    written only leaves the next run cold, with a debug log.
-    """
-    try:
-        os.makedirs(directory, mode=0o700, exist_ok=True)
-    except OSError as exc:
-        log.debug("digest index directory %s not usable: %s", directory, exc)
-        return
-    for snapshot in snapshots:
-        try:
-            save_snapshot(snapshot, index_file(directory, snapshot.root))
-        except (OSError, ValueError) as exc:
-            log.debug("digest index of %s not saved: %s", snapshot.root, exc)
-    try:
-        files = []
-        with os.scandir(directory) as listing:
-            for entry in listing:
-                try:
-                    if entry.is_file(follow_symlinks=False):
-                        files.append((entry.stat(follow_symlinks=False).st_mtime_ns, entry.path))
-                except FileNotFoundError:
-                    continue  # removed by a concurrent run
-        for _, path in sorted(files)[:-INDEX_FILES_KEPT]:  # the oldest
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                continue
-    except OSError as exc:
-        log.debug("digest index directory %s not pruned: %s", directory, exc)
-
-
 class DiffBackend:
     """Snapshot the watched roots before (on construction) and after the
     child; the events are the differences, with no order within the run."""
@@ -287,9 +227,7 @@ class DiffBackend:
     def __init__(self, scratch: Path, roots: list[Path], config: RunConfig) -> None:
         self.excludes = {root: exclusion_patterns(config, root, roots) for root in roots}
         self.stamp_prefix = f"{config.provenance_directory}_stamp-"
-        self.indexes = index_directory()
-        if self.indexes is not None and locate(roots)(self.indexes) is not None:
-            self.indexes = None  # provwrap's own files never enter a snapshot
+        self.indexes = index_directory(roots)
         # The before-snapshot starts from the last run's after-snapshot, so
         # only the files changed since are read; the after-snapshots are
         # stamped too, so the files the child wrote can be reused next time.
@@ -354,8 +292,90 @@ def select_backend(choice: str) -> type[DiffBackend | TraceBackend]:
     return TraceBackend if choice == "trace" else DiffBackend
 
 
+@dataclasses.dataclass
+class RunResult:
+    """One outcome per segment: its published bundle directory, or the error
+    that cost it; a failure before the segments are known is the run's one outcome."""
+
+    outcomes: list[Path | Exception]
+
+
+class Capture:
+    """One run's provenance: construction does the work before the child
+    (entry script, watched roots, control file, backend), `finish` the rest."""
+
+    def __init__(self, config: RunConfig, backend: str, scratch: Path, command: list[str]) -> None:
+        self.config = config
+        self.cwd = Path.cwd().resolve()
+        self.entry_script = detect_entry_script(command, self.cwd, config.source_extensions)
+        self.roots = watched_roots(config, self.cwd)
+        # in the form the trace parser gives its open: directory resolved
+        self.control_path = scratch.resolve() / "control"
+        self.control_path.touch()
+        self.backend = select_backend(backend)(scratch, self.roots, config)
+
+    def finish(self, meta: RunMetadata) -> RunResult:
+        """Collect, read the control file, unify, classify, then write one bundle per segment."""
+        outcomes: list[Path | Exception] = []
+
+        def lost(exc: Exception, segment: str = "") -> None:
+            print(f"provwrap: provenance capture failed: {segment}{exc}", file=sys.stderr)
+            outcomes.append(exc)
+
+        try:
+            events, snapshots = self.backend.collect(self.control_path)
+            # universal newlines; undecodable bytes reach the parser, which rejects their line
+            text = self.control_path.read_text(encoding="utf-8", errors="surrogateescape")
+            directives = parse_control_stream(text.split("\n"))
+
+            events, directives = unify_timeline(
+                events,
+                directives,
+                self.control_path,
+                trace_order=self.backend.trace_order,
+                cwd=self.cwd,
+            )
+            segments = classify(
+                events,
+                directives,
+                self.config,
+                self.cwd,
+                entry_script=self.entry_script,
+                snapshots=snapshots,
+                roots=self.roots,
+            )
+        except Exception as exc:  # the run: no segment is known, so no bundle
+            lost(exc)
+            segments = []
+
+        links: dict[tuple[str, int], Path] = {}  # this run's published, verified copies
+        next_k = 0  # every prov_k below it is taken
+        for position, segment in enumerate(segments, 1):
+            bundle_dir = None
+            try:
+                bundle_dir = allocate_run_dir(self.config.provenance_directory, self.cwd, next_k)
+                report = write_bundle(segment, meta, self.config, bundle_dir, links=links)
+            except Exception as exc:  # this bundle only: its number goes to the next segment
+                if bundle_dir is not None:
+                    with contextlib.suppress(OSError):  # not empty: not the reservation
+                        bundle_dir.rmdir()
+                lost(exc, f"segment {segment.name!r} ({position} of {len(segments)}): ")
+                continue
+            next_k = int(bundle_dir.name.rsplit("_", 1)[1]) + 1
+            for message in (*segment.errors, *report.warnings):
+                log.warning("%s", message)
+            log.debug(
+                "bundle %s: %d files, %d bytes copied",
+                bundle_dir,
+                len(report.files_written),
+                report.bytes_copied,
+            )
+            outcomes.append(bundle_dir)
+        return RunResult(outcomes)
+
+
 def run(argv: list[str]) -> int:
-    """Execute the full wrapper pipeline; returns the process exit code."""
+    """Parse argv, run the child inside a `Capture`, and return the exit code."""
     if "--" not in argv:
         print(
             "usage: provwrap [flags] -- COMMAND [ARG...]  (the `--` separator "
@@ -369,9 +389,8 @@ def run(argv: list[str]) -> int:
         print("error: no command given after `--`", file=sys.stderr)
         return USAGE_EXIT
 
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(flag_args)
+        args = build_arg_parser().parse_args(flag_args)
         config = config_from_args(args)
     except SystemExit:
         return USAGE_EXIT
@@ -385,76 +404,28 @@ def run(argv: list[str]) -> int:
         format="provwrap: %(levelname)s: %(message)s",
     )
 
-    cwd = Path.cwd().resolve()
-    entry_script = detect_entry_script(command, cwd, config.source_extensions)
-    roots = watched_roots(config, cwd)
-
     with tempfile.TemporaryDirectory(prefix="provwrap-") as scratch:
-        # in the form the trace parser gives its open: directory resolved
-        control_path = Path(scratch).resolve() / "control"
-        control_path.touch()
-        backend = select_backend(args.backend)(Path(scratch), roots, config)
-        spawn_argv = backend.spawn_argv(command)
-
+        capture = Capture(config, args.backend, Path(scratch), command)
+        spawn_argv = capture.backend.spawn_argv(command)
         try:
             meta = capture_run(
                 command,
-                {"YPROV_CONTROL": str(control_path)},
+                {"YPROV_CONTROL": str(capture.control_path)},
                 spawn_argv=spawn_argv,
             )
         except OSError as exc:
             print(f"error: cannot run {spawn_argv[0]!r}: {exc}", file=sys.stderr)
             return SPAWN_EXIT
-        child_status = meta.exit_status
+        result = capture.finish(meta)
 
-        try:
-            events, snapshots = backend.collect(control_path)
-            # universal newlines; undecodable bytes reach the parser, which rejects their line
-            text = control_path.read_text(encoding="utf-8", errors="surrogateescape")
-            directives = parse_control_stream(text.split("\n"))
-
-            events, directives = unify_timeline(
-                events,
-                directives,
-                control_path,
-                trace_order=backend.trace_order,
-                cwd=cwd,
-            )
-            segments = classify(
-                events,
-                directives,
-                config,
-                cwd,
-                entry_script=entry_script,
-                snapshots=snapshots,
-                roots=roots,
-            )
-
-            links: dict[tuple[str, int], Path] = {}  # this run's verified copies
-            next_k = 0  # every prov_k below it is taken
-            for segment in segments:
-                bundle_dir = allocate_run_dir(config.provenance_directory, cwd, next_k)
-                next_k = int(bundle_dir.name.rsplit("_", 1)[1]) + 1
-                report = write_bundle(segment, meta, config, bundle_dir, links=links)
-                for message in (*segment.errors, *report.warnings):
-                    log.warning("%s", message)
-                log.debug(
-                    "bundle %s: %d files, %d bytes copied",
-                    bundle_dir,
-                    len(report.files_written),
-                    report.bytes_copied,
-                )
-        except Exception as exc:  # exit-code policy boundary for provenance failures
-            print(f"provwrap: provenance capture failed: {exc}", file=sys.stderr)
-            if child_status != 0:
-                print(
-                    f"provwrap: wrapped command had exited with status {child_status}",
-                    file=sys.stderr,
-                )
-                return child_status
-            return PROVENANCE_EXIT
-
-    return child_status
+    # the exit-code policy: the child's status, else 3 for any lost bundle
+    lost = any(isinstance(outcome, Exception) for outcome in result.outcomes)
+    if lost and meta.exit_status != 0:
+        print(
+            f"provwrap: wrapped command had exited with status {meta.exit_status}",
+            file=sys.stderr,
+        )
+    return meta.exit_status or (PROVENANCE_EXIT if lost else 0)
 
 
 def main() -> None:

@@ -365,6 +365,74 @@ def _read_index(handle: BinaryIO, root: Path, path: Path) -> Snapshot | None:
     raise _BadIndex("truncated: no end line")
 
 
+INDEX_FILES_KEPT = 64
+"""How many digest index files the cache directory keeps; the oldest by
+mtime are deleted after each save."""
+
+
+def index_directory(roots: Iterable[Path]) -> Path | None:
+    """Return the directory of the digest indexes, resolved.
+
+    $XDG_CACHE_HOME/provwrap, or ~/.cache/provwrap when XDG_CACHE_HOME is
+    unset or relative (a relative value is ignored, as the XDG base
+    directory spec asks); None when no home directory is known either, or
+    when the directory lies inside one of the watched roots, since
+    provwrap's own files never enter a snapshot.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+        if not os.path.isabs(base):
+            return None
+    try:
+        directory = Path(base, "provwrap").resolve()
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a symlink loop
+        log.debug("no digest index directory under %s: %s", base, exc)
+        return None
+    if any(root == directory or root in directory.parents for root in roots):
+        return None
+    return directory
+
+
+def index_file(directory: Path, root: Path) -> Path:
+    """Return the index file of a resolved root: a digest of its path."""
+    return directory / (hashlib.sha256(os.fsencode(root)).hexdigest() + ".index")
+
+
+def save_indexes(directory: Path, snapshots: list[Snapshot]) -> None:
+    """Save each snapshot as its root's index, then keep INDEX_FILES_KEPT files.
+
+    Never raises and never waits: a directory that cannot be created or
+    written only leaves the next run cold, with a debug log.
+    """
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+    except OSError as exc:
+        log.debug("digest index directory %s not usable: %s", directory, exc)
+        return
+    for snapshot in snapshots:
+        try:
+            save_snapshot(snapshot, index_file(directory, snapshot.root))
+        except (OSError, ValueError) as exc:
+            log.debug("digest index of %s not saved: %s", snapshot.root, exc)
+    try:
+        files = []
+        with os.scandir(directory) as listing:
+            for entry in listing:
+                try:
+                    if entry.is_file(follow_symlinks=False):
+                        files.append((entry.stat(follow_symlinks=False).st_mtime_ns, entry.path))
+                except FileNotFoundError:
+                    continue  # removed by a concurrent run
+        for _, path in sorted(files)[:-INDEX_FILES_KEPT]:  # the oldest
+            try:
+                os.unlink(path)
+            except FileNotFoundError:
+                continue
+    except OSError as exc:
+        log.debug("digest index directory %s not pruned: %s", directory, exc)
+
+
 def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
     """Compare two snapshots of the same root.
 

@@ -1,8 +1,10 @@
 """Bundle directory allocation and writing."""
 
+import errno
 import hashlib
 import json
 import os
+import stat
 
 import pytest
 
@@ -243,6 +245,37 @@ class TestWriteBundle:
         bundle_dir = allocate_run_dir("prov", tmp_path)
         write_bundle(segment, meta, config, bundle_dir)
         assert not (bundle_dir / "ro-crate-metadata.json").exists()
+
+    @pytest.mark.parametrize("failure", ["digest", "rename"])
+    def test_a_failed_bundle_leaves_its_reservation_empty(
+        self, tmp_path, monkeypatch, failure
+    ):
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _segment_from_tree(
+            workdir, [("a.csv", Category.INPUT), ("b.csv", Category.INPUT)]
+        )
+        if failure == "digest":
+            segment.records[1].sha256 = "0" * 64
+        else:  # every file written, the .provenance.json copy too, then publishing fails
+            def refuse(source, destination):  # as os.rename raises, with both names
+                source, destination = os.fspath(source), os.fspath(destination)
+                raise OSError(errno.EXDEV, "Invalid cross-device link", source, None, destination)
+
+            monkeypatch.setattr(os, "rename", refuse)
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        with pytest.raises(BundleError if failure == "digest" else OSError) as raised:
+            write_bundle(segment, make_meta(), RunConfig(create_json_file=True), bundle_dir)
+        assert "_tmp-" not in str(raised.value)  # files are named by their place in the bundle
+        assert list(bundle_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prov_0", "work"]
+
+    def test_the_published_bundle_keeps_the_reservation_mode(self, tmp_path, config):
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        os.chmod(bundle_dir, 0o751)
+        write_bundle(RunSegment(name="x"), make_meta(), config, bundle_dir)
+        assert stat.S_IMODE(os.stat(bundle_dir).st_mode) == 0o751
+        assert (bundle_dir / "provenance.json").is_file()
 
     def test_dirty_bundle_dir_rejected(self, tmp_path, config):
         bundle_dir = allocate_run_dir("prov", tmp_path)

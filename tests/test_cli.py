@@ -32,10 +32,10 @@ from provwrap.cli import (
     build_arg_parser,
     config_from_args,
     detect_entry_script,
-    index_file,
     run,
     unify_timeline,
 )
+from provwrap.monitor import INDEX_FILES_KEPT, index_file, save_indexes
 
 from conftest import ends_past_its_ctime_tick, wait_for_ctime_to_pass, write_sample_project
 
@@ -739,6 +739,21 @@ def _count_hashes(monkeypatch):
     return calls
 
 
+def _place(path, workdir):
+    """(k, bundle-relative path) of a file in workdir's prov_k, or in the
+    prov_k_tmp-… sibling that write_bundle builds prov_k in."""
+    name, *rel = path.relative_to(workdir).parts
+    return int(name.split("_")[1]), "/".join(rel)
+
+
+def _places(paths, workdir):
+    """The Counter of paths (a Counter or a list) by `_place`."""
+    places = Counter()
+    for path, count in Counter(paths).items():
+        places[_place(path, workdir)] += count
+    return places
+
+
 class TestHashOncePerState:
     def test_each_file_is_hashed_once_per_state(self, tmp_path, monkeypatch):
         workdir = (tmp_path / "work").resolve()
@@ -795,8 +810,8 @@ class TestHashOncePerState:
             if p.is_file() and p.parent != bundle
         ) == ["inputs/data/input.csv", "outputs/data/edit.txt", "src/main.py"]
         # edit.txt's digest is this run's; the other two came from the index
-        assert calls["bundle"] == Counter(
-            [bundle / "src/main.py", bundle / "inputs/data/input.csv"]
+        assert _places(calls["bundle"], workdir) == Counter(
+            [(1, "src/main.py"), (1, "inputs/data/input.csv")]
         )
 
     def test_file_written_just_before_the_run_is_hashed_once(self, tmp_path, monkeypatch):
@@ -1191,7 +1206,9 @@ class TestLinkRepeatedContent:
             for rel in ("inputs/data/in.csv", "inputs/data/same.csv", "src/main.py")
         ]
         assert all(path.is_file() for path in copied)
-        assert created == [bundles[0] / "inputs/data/in.csv", bundles[0] / "src/main.py"]
+        assert [_place(path, workdir) for path in created] == [
+            (3, "inputs/data/in.csv"), (3, "src/main.py")
+        ]
         assert calls["bundle"] == Counter(created)
         assert calls["monitor"] == calls["classify"] == Counter()
 
@@ -1216,6 +1233,80 @@ class TestSegmentsAllocateUpward:
         assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
         # the same directories as "smallest free k", without probing below
         assert calls == [(0, "prov_1"), (2, "prov_3"), (4, "prov_4")]
+
+
+_LOSING_CHILD = textwrap.dedent(
+    """\
+    import os
+
+    with open(os.environ["YPROV_CONTROL"], "a") as fh:
+        for names in (["a.csv"], ["shared.csv", "b.csv"], ["shared.csv", "c.csv"]):
+            for name in names:
+                fh.write(f"INPUT\\t{name}\\n")
+            fh.write("END_RUN\\n")
+    """
+)
+
+
+class TestALostSegmentCostsOnlyItsBundle:
+    """Four segments: a.csv; shared.csv and b.csv, whose copy's digest is
+    wrong; shared.csv and c.csv; the trailing one. Every copy is read back."""
+
+    def _run(self, tmp_path, monkeypatch, capsys):
+        workdir = (tmp_path / "work").resolve()
+        workdir.mkdir()
+        (workdir / "main.py").write_text(_LOSING_CHILD)
+        for name in ("a.csv", "b.csv", "c.csv", "shared.csv"):
+            (workdir / name).write_text(f"{name}\n")
+        monkeypatch.chdir(workdir)
+        bundle_module = importlib.import_module("provwrap.bundle")
+        real_hash = bundle_module.sha256_file
+        hashed = []
+
+        def wrong_for_b(path):
+            hashed.append(Path(path))
+            return "0" * 64 if Path(path).name == "b.csv" else real_hash(path)
+
+        monkeypatch.setattr(bundle_module, "unchanged_since", lambda *args: False)
+        monkeypatch.setattr(bundle_module, "sha256_file", wrong_for_b)
+        capsys.readouterr()
+        status = run(_DIFF_RUN)
+        return workdir, status, hashed, capsys.readouterr().err
+
+    def test_the_other_segments_are_bundled_under_contiguous_numbers(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        workdir, status, _, err = self._run(tmp_path, monkeypatch, capsys)
+        assert status == PROVENANCE_EXIT
+        assert "provenance capture failed: segment 'experiment_run_1' (2 of 4)" in err
+        assert "digest mismatch" in err and "_tmp-" not in err
+        assert sorted(p.name for p in workdir.glob("prov_*")) == ["prov_0", "prov_1", "prov_2"]
+        inputs = {
+            k: sorted(p.name for p in (workdir / f"prov_{k}" / "inputs").iterdir())
+            for k in (0, 1)
+        }
+        assert inputs == {0: ["a.csv"], 1: ["c.csv", "shared.csv"]}
+        names = [
+            next(iter(json.loads((workdir / f"prov_{k}" / "provenance.json").read_bytes())["activity"]))
+            for k in range(3)
+        ]
+        assert names == [f"yProv4DA:experiment_run{suffix}" for suffix in ("", "_2", "_3")]
+        assert not (workdir / "prov_2" / "inputs").exists()
+
+    def test_a_later_bundle_copies_content_the_lost_bundle_held(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # The lost bundle copied shared.csv before b.csv failed; that copy
+        # went with its temporary, so prov_1 must not link to it.
+        workdir, status, hashed, _ = self._run(tmp_path, monkeypatch, capsys)
+        assert status == PROVENANCE_EXIT
+        shared = workdir / "prov_1" / "inputs" / "shared.csv"
+        assert shared.read_text() == "shared.csv\n"
+        assert os.stat(shared).st_nlink == 1
+        reads = [path for path in hashed if path.name == "shared.csv"]
+        # the lost bundle's copy, then prov_1's own, each in its own temporary
+        assert [_place(path, workdir) for path in reads] == [(1, "inputs/shared.csv")] * 2
+        assert reads[0] != reads[1]
 
 
 def _count_snapshot_hashes(monkeypatch):
@@ -1333,21 +1424,20 @@ class TestDigestIndexAcrossRuns:
             assert files == sorted(p.relative_to(b) for p in b.rglob("*"))
 
     def test_saving_a_65th_index_removes_the_oldest(self, tmp_path):
-        cli = importlib.import_module("provwrap.cli")
         directory = tmp_path / "indexes"
         directory.mkdir()
         oldest = time.time_ns() - 10**12
         earlier = []
-        for k in range(cli.INDEX_FILES_KEPT):
+        for k in range(INDEX_FILES_KEPT):
             path = directory / f"{k:064x}.index"
             path.write_text("an index of another root\n")
             os.utime(path, ns=(oldest + k * 10**9,) * 2)
             earlier.append(path)
         root = (tmp_path / "root").resolve()
         root.mkdir()
-        cli.save_indexes(directory, [take_snapshot(root)])
+        save_indexes(directory, [take_snapshot(root)])
         assert sorted(directory.iterdir()) == sorted(
-            earlier[1:] + [cli.index_file(directory, root)]
+            earlier[1:] + [index_file(directory, root)]
         )
 
 
