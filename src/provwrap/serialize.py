@@ -9,10 +9,11 @@ to_prov_json.
 from __future__ import annotations
 
 import json
+import operator
 import shutil
 import subprocess
 from pathlib import PurePosixPath
-from typing import Any
+from typing import Any, Callable
 
 from .classify import Category, LoggedBy, RunSegment
 from .errors import DocumentError, ProvJsonError, RendererError
@@ -32,8 +33,6 @@ from .runmeta import RunMetadata, format_timestamp, parse_timestamp
 ROCRATE_CONTEXT = "https://w3id.org/ro/crate/1.1/context"
 ROCRATE_PROFILE = "https://w3id.org/ro/crate/1.1"
 
-_TOP_LEVEL_KEYS = ("prefix", "entity", "activity", "agent", *(kind.value for kind in _ENDPOINTS))
-
 
 def _dump(obj: Any) -> bytes:
     return (json.dumps(obj, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
@@ -47,64 +46,64 @@ def _require_valid(doc: ProvDocument) -> None:
         )
 
 
-def _entity_attributes(entity: ProvEntity) -> dict[str, str]:
-    attrs = {
-        "yprov:role": entity.role.value,
-        "yprov:logged_by": entity.logged_by.value,
-        "yprov:copied": "true" if entity.copied else "false",
-    }
-    if entity.sha256 is not None:
-        attrs["yprov:sha256"] = entity.sha256
-    if entity.size_bytes is not None:
-        attrs["yprov:size_bytes"] = str(entity.size_bytes)
-    attrs.update(entity.extra_attributes)
-    return dict(sorted(attrs.items()))
+# One row per PROV-JSON attribute of a node kind: (attribute, dataclass field,
+# to-text, from-text, optional); an optional attribute is written only when its
+# field is not None. The reader accepts a text only if to-text writes the value
+# from-text read back as that very text, so from-text may be lenient.
+_Row = tuple[str, str, Callable[[Any], str], Callable[[str], Any], bool]
+_enum_text: Callable[[Any], str] = operator.attrgetter("value")
+_ENTITY_FIELDS: tuple[_Row, ...] = (
+    ("yprov:role", "role", _enum_text, Category, False),
+    ("yprov:logged_by", "logged_by", _enum_text, LoggedBy, False),
+    ("yprov:copied", "copied", lambda copied: "true" if copied else "false",
+     lambda text: text == "true", False),
+    ("yprov:sha256", "sha256", str, str, True),
+    ("yprov:size_bytes", "size_bytes", str, int, True),
+)
+_ACTIVITY_FIELDS: tuple[_Row, ...] = (
+    ("prov:startTime", "start_time", format_timestamp, parse_timestamp, False),
+    ("prov:endTime", "end_time", format_timestamp, parse_timestamp, False),
+    ("yprov:command", "command", str, str, False),
+    ("yprov:exit_status", "exit_status", str, int, False),
+    ("yprov:git_commit", "git_commit", str, str, True),
+)
+_AGENT_FIELDS: tuple[_Row, ...] = (
+    ("yprov:username", "username", str, str, False),
+    ("yprov:hostname", "hostname", str, str, False),
+)
+# each node section, in PROV-JSON order: (node class, ProvDocument field,
+# attribute table, whether the section is omitted when empty)
+_NODES = {
+    "entity": (ProvEntity, "entities", _ENTITY_FIELDS, True),
+    "activity": (ProvActivity, "activities", _ACTIVITY_FIELDS, False),
+    "agent": (ProvAgent, "agents", _AGENT_FIELDS, False),
+}
+_TOP_LEVEL_KEYS = ("prefix", *_NODES, *(kind.value for kind in _ENDPOINTS))
+_REQUIRED_SECTIONS = ("prefix", *(s for s, (*_, omit_empty) in _NODES.items() if not omit_empty))
 
 
-def _activity_attributes(activity: ProvActivity) -> dict[str, str]:
+def _attributes(node: Any, rows: tuple[_Row, ...]) -> dict[str, str]:
     attrs = {
-        "prov:startTime": format_timestamp(activity.start_time),
-        "prov:endTime": format_timestamp(activity.end_time),
-        "yprov:command": activity.command,
-        "yprov:exit_status": str(activity.exit_status),
+        name: to_text(value)
+        for name, field, to_text, _, optional in rows
+        if (value := getattr(node, field)) is not None or not optional
     }
-    if activity.git_commit is not None:
-        attrs["yprov:git_commit"] = activity.git_commit
-    attrs.update(activity.extra_attributes)
+    attrs.update(getattr(node, "extra_attributes", {}))
     return dict(sorted(attrs.items()))
 
 
 def to_prov_json(doc: ProvDocument) -> bytes:
     """Serialize a valid document to canonical PROV-JSON bytes."""
     _require_valid(doc)
-    top: dict[str, Any] = {}
-    top["prefix"] = dict(sorted(doc.prefixes.items()))
-    if doc.entities:
-        top["entity"] = {
-            key: _entity_attributes(doc.entities[key]) for key in sorted(doc.entities)
-        }
-    top["activity"] = {
-        key: _activity_attributes(doc.activities[key])
-        for key in sorted(doc.activities)
-    }
-    top["agent"] = {
-        key: dict(
-            sorted(
-                {
-                    "yprov:username": doc.agents[key].username,
-                    "yprov:hostname": doc.agents[key].hostname,
-                }.items()
-            )
-        )
-        for key in sorted(doc.agents)
-    }
+    top: dict[str, Any] = {"prefix": dict(sorted(doc.prefixes.items()))}
+    for section, (_, doc_field, rows, omit_empty) in _NODES.items():
+        nodes = getattr(doc, doc_field)
+        if nodes or not omit_empty:
+            top[section] = {key: _attributes(nodes[key], rows) for key in sorted(nodes)}
     for kind, node_kinds in _ENDPOINTS.items():
         subject_key, object_key = (f"prov:{node_kind}" for node_kind in node_kinds)
         section = {
-            str(rel.relation_id): {
-                subject_key: str(rel.subject),
-                object_key: str(rel.object),
-            }
+            str(rel.relation_id): {subject_key: str(rel.subject), object_key: str(rel.object)}
             for rel in doc.relations
             if rel.kind is kind
         }
@@ -113,156 +112,108 @@ def to_prov_json(doc: ProvDocument) -> bytes:
     return _dump(top)
 
 
-def _split_qualified(text: str, prefixes: dict[str, str], context: str) -> QualifiedName:
-    prefix, sep, local = text.partition(":")
+def _split_qualified(text: Any, prefixes: dict[str, str], context: str) -> QualifiedName:
+    prefix, sep, local = text.partition(":") if isinstance(text, str) else ("", "", "")
     if not sep or not prefix or not local:
         raise ProvJsonError(f"{context}: {text!r} is not a qualified name")
     if prefix not in prefixes:
-        raise ProvJsonError(
-            f"{context}: prefix {prefix!r} is not declared in the prefix map"
-        )
+        raise ProvJsonError(f"{context}: prefix {prefix!r} is not declared in the prefix map")
+    try:
+        decode_local(local)
+    except UnicodeDecodeError:
+        raise ProvJsonError(f"{context}: {text!r} escapes bytes that are not UTF-8") from None
     return QualifiedName(prefix, local)
 
 
-def _string_attributes(raw: Any, context: str) -> dict[str, str]:
+def _section(obj: dict[str, Any], name: str) -> dict[str, Any]:
+    section = obj.get(name, {})
+    if not isinstance(section, dict):
+        raise ProvJsonError(f"{name} section must be an object")
+    if name in obj and not section and name not in _REQUIRED_SECTIONS:
+        raise ProvJsonError(f"{name} section is empty; an empty section is omitted")
+    return section
+
+
+def _read_node(section: str, key: str, raw: Any, prefixes: dict[str, str]) -> Any:
+    """One node of a node section, read through its kind's attribute table."""
+    node_class, _, rows, _ = _NODES[section]
+    context = f"{section} {key}"
     if not isinstance(raw, dict):
         raise ProvJsonError(f"{context}: expected an attribute object")
-    for key, value in raw.items():
-        if not isinstance(key, str) or not isinstance(value, str):
-            raise ProvJsonError(f"{context}: attribute {key!r} must map a string to a string")
-    return dict(raw)
-
-
-def _pop_required(attrs: dict[str, str], key: str, context: str) -> str:
-    if key not in attrs:
-        raise ProvJsonError(f"{context}: missing required attribute {key!r}")
-    return attrs.pop(key)
-
-
-def _parse_int(text: str, context: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ProvJsonError(f"{context}: {text!r} is not an integer") from None
+    for name, text in raw.items():
+        if not isinstance(text, str):
+            raise ProvJsonError(f"{context}: attribute {name!r} must be a string")
+    attrs = dict(raw)
+    values: dict[str, Any] = {"id": _split_qualified(key, prefixes, context)}
+    for name, field, to_text, from_text, optional in rows:
+        text = values[field] = attrs.pop(name, None)
+        if text is None:
+            if optional:
+                continue
+            raise ProvJsonError(f"{context}: missing required attribute {name!r}")
+        try:
+            values[field] = from_text(text)
+            written = to_text(values[field])
+        except ValueError:
+            written = None
+        if written != text:
+            raise ProvJsonError(f"{context}: {name!r} is {text!r}, not what to_prov_json writes")
+    if "extra_attributes" in node_class.__dataclass_fields__:
+        values["extra_attributes"] = attrs
+    elif attrs:
+        raise ProvJsonError(f"{context}: unexpected attributes {sorted(attrs)}")
+    return node_class(**values)
 
 
 def parse_prov_json(data: bytes) -> ProvDocument:
     """Parse bytes produced by :func:`to_prov_json` back into a document.
 
-    Strict by design: unknown top-level sections, undeclared prefixes and
-    malformed relation objects are all rejected with a descriptive error.
+    Strict by design: every failure is a ProvJsonError. Unknown or empty
+    optional sections, undeclared prefixes, malformed relation objects and
+    any attribute value that :func:`to_prov_json` would write differently
+    are all rejected with a descriptive error.
     """
     try:
         obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProvJsonError(f"not valid UTF-8 JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProvJsonError("top level must be a JSON object")
     unknown = set(obj) - set(_TOP_LEVEL_KEYS)
     if unknown:
         raise ProvJsonError(f"unknown top-level sections: {sorted(unknown)}")
-    missing = [key for key in ("prefix", "activity", "agent") if key not in obj]
+    missing = [key for key in _REQUIRED_SECTIONS if key not in obj]
     if missing:
         raise ProvJsonError(f"missing required sections: {missing}")
 
-    prefixes = obj["prefix"]
-    if not isinstance(prefixes, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in prefixes.items()
-    ):
+    prefixes = _section(obj, "prefix")
+    if not all(isinstance(value, str) for value in prefixes.values()):
         raise ProvJsonError("prefix section must map strings to strings")
-    prefixes = dict(prefixes)
 
-    entities: dict[str, ProvEntity] = {}
-    for key, raw in obj.get("entity", {}).items():
-        context = f"entity {key}"
-        qid = _split_qualified(key, prefixes, context)
-        attrs = _string_attributes(raw, context)
-        role_text = _pop_required(attrs, "yprov:role", context)
-        try:
-            role = Category(role_text)
-        except ValueError:
-            raise ProvJsonError(f"{context}: unknown role {role_text!r}") from None
-        logged_text = _pop_required(attrs, "yprov:logged_by", context)
-        try:
-            logged_by = LoggedBy(logged_text)
-        except ValueError:
-            raise ProvJsonError(f"{context}: unknown logged_by {logged_text!r}") from None
-        copied_text = _pop_required(attrs, "yprov:copied", context)
-        if copied_text not in ("true", "false"):
-            raise ProvJsonError(f"{context}: yprov:copied must be 'true' or 'false'")
-        sha256 = attrs.pop("yprov:sha256", None)
-        size_text = attrs.pop("yprov:size_bytes", None)
-        size_bytes = None if size_text is None else _parse_int(size_text, context)
-        entities[key] = ProvEntity(
-            id=qid,
-            role=role,
-            logged_by=logged_by,
-            sha256=sha256,
-            size_bytes=size_bytes,
-            copied=copied_text == "true",
-            extra_attributes=attrs,
-        )
-
-    activities: dict[str, ProvActivity] = {}
-    for key, raw in obj["activity"].items():
-        context = f"activity {key}"
-        qid = _split_qualified(key, prefixes, context)
-        attrs = _string_attributes(raw, context)
-        try:
-            start_time = parse_timestamp(_pop_required(attrs, "prov:startTime", context))
-            end_time = parse_timestamp(_pop_required(attrs, "prov:endTime", context))
-        except ValueError as exc:
-            raise ProvJsonError(f"{context}: {exc}") from None
-        command = _pop_required(attrs, "yprov:command", context)
-        exit_status = _parse_int(_pop_required(attrs, "yprov:exit_status", context), context)
-        git_commit = attrs.pop("yprov:git_commit", None)
-        activities[key] = ProvActivity(
-            id=qid,
-            command=command,
-            start_time=start_time,
-            end_time=end_time,
-            git_commit=git_commit,
-            exit_status=exit_status,
-            extra_attributes=attrs,
-        )
-
-    agents: dict[str, ProvAgent] = {}
-    for key, raw in obj["agent"].items():
-        context = f"agent {key}"
-        qid = _split_qualified(key, prefixes, context)
-        attrs = _string_attributes(raw, context)
-        username = _pop_required(attrs, "yprov:username", context)
-        hostname = _pop_required(attrs, "yprov:hostname", context)
-        if attrs:
-            raise ProvJsonError(f"{context}: unexpected attributes {sorted(attrs)}")
-        agents[key] = ProvAgent(id=qid, username=username, hostname=hostname)
+    nodes = {
+        doc_field: {
+            key: _read_node(section, key, raw, prefixes)
+            for key, raw in _section(obj, section).items()
+        }
+        for section, (_, doc_field, _, _) in _NODES.items()
+    }
 
     relations: list[ProvRelation] = []
     for kind, node_kinds in _ENDPOINTS.items():
         subject_key, object_key = (f"prov:{node_kind}" for node_kind in node_kinds)
-        for rid, raw in obj.get(kind.value, {}).items():
+        for rid, raw in _section(obj, kind.value).items():
             context = f"{kind.value} {rid}"
             if not isinstance(raw, dict) or set(raw) != {subject_key, object_key}:
                 raise ProvJsonError(
                     f"{context}: relation object must carry exactly "
                     f"{subject_key!r} and {object_key!r}"
                 )
+            names = (rid, raw[subject_key], raw[object_key])
             relations.append(
-                ProvRelation(
-                    kind=kind,
-                    relation_id=_split_qualified(rid, prefixes, context),
-                    subject=_split_qualified(raw[subject_key], prefixes, context),
-                    object=_split_qualified(raw[object_key], prefixes, context),
-                )
+                ProvRelation(kind, *(_split_qualified(n, prefixes, context) for n in names))
             )
 
-    return ProvDocument(
-        prefixes=prefixes,
-        entities=entities,
-        activities=activities,
-        agents=agents,
-        relations=tuple(relations),
-    )
+    return ProvDocument(prefixes=prefixes, relations=tuple(relations), **nodes)
 
 
 # --- DOT -----------------------------------------------------------------------
@@ -300,7 +251,7 @@ def to_dot(doc: ProvDocument) -> str:
             )
         )
         note_id = f"{key}#attributes"
-        attributes = _activity_attributes(activity).items()
+        attributes = _attributes(activity, _ACTIVITY_FIELDS).items()
         label = "".join(_dot_escape(f"{name} = {value}") + "\\l" for name, value in attributes)
         nodes.append((note_id, f'"{_dot_escape(note_id)}" [label="{label}", shape=note];'))
         note_edges.append(f'"{_dot_escape(key)}" -> "{_dot_escape(note_id)}" [style=dashed];')

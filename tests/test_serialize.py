@@ -1,13 +1,18 @@
 """PROV-JSON, DOT, SVG rendering and RO-Crate serialization."""
 
+import copy
+import dataclasses
 import json
 import random
+import re
 import shutil
 import stat
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from provwrap import (
     ArtifactRecord,
@@ -25,7 +30,9 @@ from provwrap import (
     to_dot,
     to_prov_json,
     to_rocrate_metadata,
+    validate,
 )
+from provwrap import serialize
 
 from conftest import make_meta, make_record
 
@@ -235,6 +242,164 @@ class TestParseProvJson:
     def test_not_json_at_all(self):
         with pytest.raises(ProvJsonError):
             parse_prov_json(b"\xff\xfe not json")
+
+
+def full_payload():
+    """The sample document's PROV-JSON object, with every optional attribute set."""
+    return json.loads(to_prov_json(sample_document(meta=make_meta(git_commit="c" * 40))))
+
+
+def dump(payload) -> bytes:
+    """Write a PROV-JSON object in the layout to_prov_json uses."""
+    return (json.dumps(payload, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+
+
+class TestParseRefusesMalformedInput:
+    """Every malformed input is a ProvJsonError, never another exception."""
+
+    @pytest.mark.parametrize("section", ["activity", "used"])
+    def test_a_section_that_is_not_an_object(self, section):
+        payload = full_payload()
+        payload[section] = []
+        with pytest.raises(ProvJsonError, match=f"{section} section must be an object"):
+            parse_prov_json(dump(payload))
+
+    def test_a_relation_endpoint_that_is_not_a_string(self):
+        payload = full_payload()
+        payload["used"]["yProv4DA:u0"]["prov:entity"] = 1
+        with pytest.raises(ProvJsonError, match="used yProv4DA:u0: 1 is not a qualified name"):
+            parse_prov_json(dump(payload))
+
+    def test_json_nested_too_deeply_to_decode(self):
+        with pytest.raises(ProvJsonError, match="not valid UTF-8 JSON"):
+            parse_prov_json(b"[" * 100000 + b"]" * 100000)
+
+
+class TestParseAcceptsOnlyWhatIsWritten:
+    @pytest.mark.parametrize("text", [" 7", "7 ", "007", "+7", "-0", "1_000", "\u0661"])
+    @pytest.mark.parametrize(
+        "section,key,name",
+        [
+            ("activity", "yProv4DA:experiment_run", "yprov:exit_status"),
+            ("entity", "yProv4DA:inputs/results.csv", "yprov:size_bytes"),
+        ],
+    )
+    def test_an_integer_spelled_otherwise_than_str_writes_it(self, section, key, name, text):
+        payload = full_payload()
+        payload[section][key][name] = text
+        with pytest.raises(ProvJsonError, match=re.escape(f"{name!r} is {text!r}")):
+            parse_prov_json(dump(payload))
+
+    def test_a_local_part_escaping_bytes_that_are_not_utf8(self):
+        data = dump(full_payload()).replace(b"inputs/results.csv", b"inputs/%ff.csv")
+        with pytest.raises(ProvJsonError, match="not UTF-8"):
+            parse_prov_json(data)
+
+    @pytest.mark.parametrize("section", ["entity", "used", "wasGeneratedBy"])
+    def test_an_empty_section_is_never_written(self, section):
+        payload = full_payload()
+        payload[section] = {}
+        with pytest.raises(ProvJsonError, match=f"{section} section is empty"):
+            parse_prov_json(dump(payload))
+
+    def test_an_agent_carries_no_other_attribute(self):
+        payload = full_payload()
+        payload["agent"]["yProv4DA:agent"]["yprov:shell"] = "bash"
+        with pytest.raises(ProvJsonError, match="yprov:shell"):
+            parse_prov_json(dump(payload))
+
+
+def _paths(value, path=()):
+    """The path to every value inside a JSON value, the value itself included."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _paths(item, (*path, key))
+
+
+def _strings(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, str):
+        yield value
+
+
+_PAYLOAD = full_payload()
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text()
+    # near misses of written text: padded, signed, grouped or non-ASCII numerals
+    | st.text(alphabet="0123456789 +-_\u0661%fF:truesTZ.", max_size=8)
+    # text the document holds elsewhere: other ids, other attribute values
+    | st.sampled_from(sorted(set(_strings(_PAYLOAD)))),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(path=st.sampled_from(list(_paths(_PAYLOAD))), value=_JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_one_replaced_value_is_refused_or_written_back_byte_for_byte(path, value):
+    payload = copy.deepcopy(_PAYLOAD)
+    if path:
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        payload = value
+    data = dump(payload)
+    try:
+        doc = parse_prov_json(data)
+    except ProvJsonError:
+        return
+    assert validate(doc) or to_prov_json(doc) == data
+
+
+_ROWS = [
+    pytest.param(section, row, id=f"{section}-{row[0]}")
+    for section, (_, _, rows, _) in serialize._NODES.items()
+    for row in rows
+]
+
+
+def _node_with(payload, section, name):
+    return next(attrs for attrs in payload[section].values() if name in attrs)
+
+
+class TestAttributeTables:
+    """One table per node kind states each PROV-JSON attribute once."""
+
+    @pytest.mark.parametrize("section", list(serialize._NODES))
+    def test_a_table_covers_every_field_of_its_node_class(self, section):
+        node_class, _, rows, _ = serialize._NODES[section]
+        fields = {field.name for field in dataclasses.fields(node_class)}
+        assert sorted(row[1] for row in rows) == sorted(fields - {"id", "extra_attributes"})
+        assert len({row[0] for row in rows}) == len(rows)
+
+    @pytest.mark.parametrize("section,row", [p for p in _ROWS if not p.values[1][-1]])  # required
+    def test_a_missing_required_attribute_is_named(self, section, row):
+        payload = full_payload()
+        del _node_with(payload, section, row[0])[row[0]]
+        message = f"missing required attribute {row[0]!r}"
+        with pytest.raises(ProvJsonError, match=re.escape(message)):
+            parse_prov_json(dump(payload))
+
+    @pytest.mark.parametrize("section,row", _ROWS)
+    def test_a_malformed_value_is_named(self, section, row):
+        name, _, _, from_text, _ = row
+        written = _node_with(full_payload(), section, name)[name]
+        malformed = [7, None, [written]] + ([] if from_text is str else [f" {written}"])
+        for value in malformed:
+            payload = full_payload()
+            _node_with(payload, section, name)[name] = value
+            with pytest.raises(ProvJsonError, match=re.escape(repr(name))):
+                parse_prov_json(dump(payload))
 
 
 class TestToDot:
