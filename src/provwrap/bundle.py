@@ -124,8 +124,10 @@ def write_bundle(
     bundle is built in a sibling named <name>_tmp-<random> (the <dir>_*
     exclusion hides it) and renamed over bundle_dir once every copy is
     verified and every document written, so a reader sees bundle_dir empty
-    or complete. On an error the sibling is removed, bundle_dir stays empty
-    and the error, naming bundle files by their bundle-relative path, is raised.
+    or complete; the `--json` copy <name>.provenance.json beside it goes
+    just before. On an error the sibling and the copy are removed, bundle_dir
+    stays empty and the error, naming bundle files by their bundle-relative
+    path, is raised.
 
     A copied record without a digest or size is refused before anything is
     written. Each source is opened once, fstat'ed, copied from that
@@ -166,7 +168,7 @@ def write_bundle(
     made: dict[tuple[str, int], Path] = {}  # this bundle's copies, until it is published
     made_dirs: set[Path] = set()
     build = Path(tempfile.mkdtemp(prefix=f"{bundle_dir.name}_tmp-", dir=bundle_dir.parent))
-    pending = build.with_name(build.name + ".provenance.json")  # the --json copy, until published
+    pending = build / f"{bundle_dir.name}.provenance.json"  # the --json copy
     try:
         os.chmod(build, stat.S_IMODE(os.stat(bundle_dir).st_mode))  # mkdtemp's is 0o700
         for record in segment.records:
@@ -228,8 +230,10 @@ def write_bundle(
             (build / "ro-crate-metadata.json").write_bytes(crate)
             report.files_written.append("ro-crate-metadata.json")
 
-        if config.create_json_file:
+        if config.create_json_file:  # published first, removed below if the bundle is not
             pending.write_bytes(prov_json)
+            os.rename(pending, bundle_dir.with_name(pending.name))
+            pending = bundle_dir.with_name(pending.name)
         os.rename(build, bundle_dir)  # POSIX replaces the empty reservation atomically
     except BaseException as exc:
         shutil.rmtree(build, ignore_errors=True)
@@ -239,9 +243,6 @@ def write_bundle(
             if isinstance(name, str) and f"{name}/".startswith(f"{build}/"):
                 setattr(exc, attr, os.path.relpath(name, build))
         raise
-    if config.create_json_file:
-        # Standalone convenience copy beside the bundle, e.g. prov_0.provenance.json.
-        os.rename(pending, bundle_dir.with_name(bundle_dir.name + ".provenance.json"))
     if links is not None:
         for content, copy in made.items():
             if content not in links:  # by string: Path.relative_to costs a parse per copy

@@ -256,22 +256,56 @@ def _record(
     return record
 
 
-def classify(
+def unify_timeline(
     events: Sequence[FileEvent],
     directives: Sequence[ControlDirective],
+    control_path: Path | None,
+    trace_order: bool,
+    cwd: Path | None = None,
+) -> list[FileEvent | ControlDirective]:
+    """Return events and directives as one list, in the order `classify` walks.
+
+    Trace events are in run order and keep it. Each open of control_path is
+    dropped, and the directives of control line i (their index) go where
+    the i-th open was, a later line's where the last open was, in list
+    order; with no open, every directive goes last.
+
+    Snapshot diffs have no order within the run, so directives keep their
+    list order, and each event goes right after the first directive naming
+    its path (per `directive_path`, so it lands in that directive's
+    segment), in list order; an event no directive names goes last.
+    """
+    # groups[k]: the items put at the k-th event (trace) or directive (diff); groups[-1]: the rest
+    if trace_order:  # an open of control_path leaves an empty group, for its directives
+        groups: list[list] = [[] if e.path == control_path else [e] for e in events] + [[]]
+        opens = [k for k, group in enumerate(groups[:-1]) if not group]
+        for directive in directives:
+            groups[opens[min(directive.index, len(opens) - 1)] if opens else -1].append(directive)
+    else:
+        resolve = PathResolver(Path.cwd() if cwd is None else Path(cwd))
+        groups = [[directive] for directive in directives] + [[]]
+        mentioned: dict[Path, int] = {}
+        for index, directive in enumerate(directives):
+            path = directive_path(directive, resolve)
+            if path is not None:
+                mentioned.setdefault(path, index)
+        for event in events:
+            groups[mentioned.get(event.path, -1)].append(event)
+    return [item for group in groups for item in group]
+
+
+def classify(
+    timeline: Sequence[FileEvent | ControlDirective],
     config: RunConfig,
     cwd: Path,
     entry_script: Path | None = None,
     snapshots: Sequence[Snapshot] = (),
     roots: Sequence[Path] | None = None,
 ) -> list[RunSegment]:
-    """Partition the merged timeline into segments of classified records.
+    """Partition the timeline into segments of classified records.
 
-    Events and directives are merged by seq (directives first on ties, then
-    list order) and split at each END_RUN; a trailing implicit segment
-    always exists. Events need distinct seqs in the order they happened,
-    gaps allowed, as the trace parser numbers them; `cli.unify_timeline`
-    places the directives among them.
+    The timeline is walked in the order given, `unify_timeline`'s, and split
+    at each END_RUN; a trailing implicit segment always exists.
     Within a segment, a path both read and created collapses into a single
     Input record flagged also_generated; UNTRACK anywhere in a segment
     removes that path's record entirely, and an UNTRACK in a later segment
@@ -313,7 +347,7 @@ def classify(
         return scoped[path]
 
     listed = {snapshot.root: snapshot for snapshot in snapshots}
-    named = {event.path for event in events}
+    named = {item.path for item in timeline if isinstance(item, FileEvent)}
     # this call's (size, sha256, copy proof) per path; no sha256 when it is
     # gone or unreadable, and None when it exists but is not a regular file
     measured: dict[Path, _Measured | None] = {}
@@ -346,11 +380,6 @@ def classify(
                     measured[path] = (size, None, None)
         return measured[path]
 
-    timeline = sorted(
-        [(d.seq, 0, i, d) for i, d in enumerate(directives)]
-        + [(e.seq, 1, i, e) for i, e in enumerate(events)],
-        key=lambda entry: entry[:3],
-    )
     # The entry script and a top-level requirements.txt are recorded in
     # every segment (unless untracked): each bundle must be re-executable
     # on its own, and the diff backend cannot observe reads.
@@ -363,7 +392,7 @@ def classify(
     states: dict[Path, _PathState] = {}  # this segment's paths, first mention first
     errors: list[str] = []
     # None closes the last segment, which exists even when it is empty
-    for item in [entry[3] for entry in timeline] + [None]:
+    for item in [*timeline, None]:
         if isinstance(item, FileEvent):
             if scope(item.path)[1]:
                 continue

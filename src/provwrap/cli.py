@@ -27,14 +27,13 @@ from .classify import (
     InputCopies,
     RunConfig,
     classify,
-    directive_path,
     exclusion_patterns,
     locate,
+    unify_timeline,
     watched_roots,
 )
 from .monitor import (
     _stamp_ctime_ns,
-    ControlDirective,
     FileEvent,
     PathResolver,
     Snapshot,
@@ -166,58 +165,6 @@ def detect_entry_script(command: list[str], cwd: Path, extensions: frozenset[str
     return None
 
 
-def unify_timeline(
-    events: list[FileEvent],
-    directives: list[ControlDirective],
-    control_path: Path | None,
-    trace_order: bool,
-    cwd: Path | None = None,
-) -> tuple[list[FileEvent], list[ControlDirective]]:
-    """Put events and directives on one shared seq axis.
-
-    Trace events are genuinely ordered: they must carry distinct seqs in
-    trace order (the parser's numbering; gaps left by the root filter are
-    fine), and the ones kept are returned unchanged. Control-file opens are
-    dropped, and a directive from control line i (its seq) takes the seq of
-    the i-th open (a later line the last open's), so no kept event shares
-    its seq; with no open, every directive takes the largest event seq plus
-    one.
-
-    Snapshot diffs carry no intra-run ordering, so directive k takes seq k,
-    and each event the index of the first directive naming its path (per
-    `directive_path`, placing it right after that directive, in its
-    segment); unmentioned events trail after all directives. `classify`
-    sorts directives before events on equal seqs.
-    """
-    if trace_order:
-        anchors = [event.seq for event in events if event.path == control_path]
-        kept = [event for event in events if event.path != control_path]
-        tail = max((event.seq for event in events), default=-1) + 1
-        return kept, [
-            dataclasses.replace(
-                directive,
-                seq=anchors[min(directive.seq, len(anchors) - 1)] if anchors else tail,
-            )
-            for directive in directives
-        ]
-
-    resolve = PathResolver(Path.cwd() if cwd is None else Path(cwd))
-    mentioned: dict[Path, int] = {}
-    for index, directive in enumerate(directives):
-        path = directive_path(directive, resolve)
-        if path is not None:
-            mentioned.setdefault(path, index)
-    out_directives = [
-        dataclasses.replace(directive, seq=index)
-        for index, directive in enumerate(directives)
-    ]
-    out_events = [
-        dataclasses.replace(event, seq=mentioned.get(event.path, len(directives)))
-        for event in events
-    ]
-    return out_events, out_directives
-
-
 class DiffBackend:
     """Snapshot the watched roots before (on construction) and after the
     child; the events are the differences, with no order within the run."""
@@ -328,7 +275,7 @@ class Capture:
             text = self.control_path.read_text(encoding="utf-8", errors="surrogateescape")
             directives = parse_control_stream(text.split("\n"))
 
-            events, directives = unify_timeline(
+            timeline = unify_timeline(
                 events,
                 directives,
                 self.control_path,
@@ -336,8 +283,7 @@ class Capture:
                 cwd=self.cwd,
             )
             segments = classify(
-                events,
-                directives,
+                timeline,
                 self.config,
                 self.cwd,
                 entry_script=self.entry_script,

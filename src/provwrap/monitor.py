@@ -17,6 +17,7 @@ import logging
 import os
 import re
 import tempfile
+import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -84,7 +85,6 @@ class FileEvent:
 
     path: Path
     kind: EventKind
-    seq: int
     pid: int | None = None
 
 
@@ -152,15 +152,28 @@ def unchanged_since(st: os.stat_result, entry: Entry | None, stamp_ns: int | Non
     )
 
 
+STAMP_WAIT_S = 0.02  # a coarse kernel clock's tick; a filesystem's 1-2 s tick is not waited out
+
+
 def _stamp_ctime_ns(root: Path, prefix: str) -> int | None:
-    """ctime of a file created in root and removed at once; None if root is not writable."""
+    """ctime of a file created in root and removed at once; None if root is not writable.
+
+    A write just before it may share its ctime tick, and a tie is never
+    trusted, so its ctime is set to now until it passes the first one, for
+    at most STAMP_WAIT_S; every earlier write is then strictly older.
+    """
     try:
         fd, name = tempfile.mkstemp(prefix=prefix, dir=root)
     except OSError as exc:
         log.debug("no ctime stamp in %s, so no digest of it is reused: %s", root, exc)
         return None
     try:
-        return os.fstat(fd).st_ctime_ns
+        first = stamp = os.fstat(fd).st_ctime_ns
+        deadline = time.monotonic() + STAMP_WAIT_S
+        while stamp <= first and time.monotonic() < deadline:
+            os.utime(fd)
+            stamp = os.fstat(fd).st_ctime_ns
+        return max(stamp, first)
     finally:
         os.close(fd)
         os.unlink(name)
@@ -452,15 +465,15 @@ def diff_snapshots(before: Snapshot, after: Snapshot) -> list[FileEvent]:
         for rel in before_keys & after_keys
         if before.entries[rel][:3:2] != after.entries[rel][:3:2]
     )
-    events: list[FileEvent] = []
-    for group, kind in (
-        (created, EventKind.CREATED),
-        (modified, EventKind.MODIFIED),
-        (removed, EventKind.REMOVED),
-    ):
-        for rel in group:
-            events.append(FileEvent(before.root / rel, kind, seq=len(events)))
-    return events
+    return [
+        FileEvent(before.root / rel, kind)
+        for group, kind in (
+            (created, EventKind.CREATED),
+            (modified, EventKind.MODIFIED),
+            (removed, EventKind.REMOVED),
+        )
+        for rel in group
+    ]
 
 
 class PathResolver:
@@ -609,7 +622,7 @@ def parse_trace_stream(
             path = resolve(_unescape_path(raw_path, lineno) if "\\" in raw_path else raw_path)
             resolved[raw_path] = path
         kind = EventKind.WRITE_INTENT if flag_set & _WRITE_FLAGS else EventKind.READ_INTENT
-        events.append(FileEvent(path=path, kind=kind, seq=len(events), pid=pid))
+        events.append(FileEvent(path=path, kind=kind, pid=pid))
 
     for pid, syscall in pending:
         log.warning("unfinished %s call (pid %s) never resumed", syscall, pid)
@@ -638,7 +651,7 @@ class ControlDirective:
     kind: DirectiveKind
     path: str = ""
     run_name: str | None = None
-    seq: int = 0
+    index: int = 0  # the 0-based control line it came from
 
     def to_line(self) -> str:
         """Canonical wire form, without the trailing LF."""
@@ -674,18 +687,18 @@ def parse_control_line(line: str, index: int) -> ControlDirective | None:
     verb, sep, arg = line.partition("\t")
     if verb == "END_RUN":
         run_name = arg if sep and arg != "" else None
-        return ControlDirective(kind=DirectiveKind.END_RUN, run_name=run_name, seq=index)
+        return ControlDirective(kind=DirectiveKind.END_RUN, run_name=run_name, index=index)
     if verb not in _PATH_VERBS:
         raise ControlParseError(f"line {index + 1}: unknown verb {verb!r}")
     if not sep or arg == "":
         raise ControlParseError(f"line {index + 1}: {verb} requires a path")
-    return ControlDirective(kind=_PATH_VERBS[verb], path=arg, seq=index)
+    return ControlDirective(kind=_PATH_VERBS[verb], path=arg, index=index)
 
 
 def parse_control_stream(lines: Iterable[str]) -> list[ControlDirective]:
     """Parse control-channel lines: VERB<TAB>ARG, one directive per line.
 
-    seq is the 0-based line index. Blank lines are ignored, and a line that
+    index is the 0-based line index. Blank lines are ignored, and a line that
     `parse_control_line` rejects is skipped with a warning naming its
     1-based number; either still consumes its index, so only that
     directive is lost, never the run.

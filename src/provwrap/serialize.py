@@ -165,16 +165,25 @@ def _read_node(section: str, key: str, raw: Any, prefixes: dict[str, str]) -> An
     return node_class(**values)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    obj: dict[str, object] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ProvJsonError(f"duplicate key {key!r}: to_prov_json writes each key once")
+        obj[key] = value
+    return obj
+
+
 def parse_prov_json(data: bytes) -> ProvDocument:
     """Parse bytes produced by :func:`to_prov_json` back into a document.
 
     Strict by design: every failure is a ProvJsonError. Unknown or empty
-    optional sections, undeclared prefixes, malformed relation objects and
-    any attribute value that :func:`to_prov_json` would write differently
-    are all rejected with a descriptive error.
+    optional sections, undeclared prefixes, malformed relation objects,
+    duplicate keys and any attribute value that :func:`to_prov_json` would
+    write differently are all rejected with a descriptive error.
     """
     try:
-        obj = json.loads(data.decode("utf-8"))
+        obj = json.loads(data.decode("utf-8"), object_pairs_hook=_unique_keys)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ProvJsonError(f"not valid UTF-8 JSON: {exc}") from None
     if not isinstance(obj, dict):

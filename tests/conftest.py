@@ -1,9 +1,6 @@
 """Shared builders for provenance-model test inputs."""
 
-import os
-import tempfile
 import textwrap
-import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -72,26 +69,6 @@ def write_sample_project(workdir: Path) -> None:
             """
         )
     )
-
-
-def wait_for_ctime_to_pass(*paths: Path) -> None:
-    """Return once the filesystem's ctime clock has moved past every path's ctime.
-
-    A file's ctime comes from a coarse clock, so a stamp made a moment after
-    a write can share its tick, and a snapshot reuses a digest only for a
-    file whose ctime is strictly older than its stamp. After this returns,
-    a snapshot stamped in the same directory may reuse every path's digest.
-    """
-    newest = max(os.stat(path).st_ctime_ns for path in paths)
-    fd, probe = tempfile.mkstemp(dir=Path(paths[0]).parent)
-    try:
-        deadline = time.monotonic() + 5
-        while os.fstat(fd).st_ctime_ns <= newest:
-            assert time.monotonic() < deadline, "the filesystem clock never moved"
-            os.utime(fd)  # sets ctime to the filesystem's now
-    finally:
-        os.close(fd)
-        os.unlink(probe)
 
 
 _LAST_STEP = textwrap.dedent(

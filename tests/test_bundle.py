@@ -318,10 +318,10 @@ class TestWriteBundle:
             (workdir / name).write_text(f"{name}\n")
         segments = classify(
             [
-                FileEvent(path=workdir / "a.csv", kind=EventKind.READ_INTENT, seq=0),
-                FileEvent(path=workdir / "b.csv", kind=EventKind.READ_INTENT, seq=2),
+                FileEvent(path=workdir / "a.csv", kind=EventKind.READ_INTENT),
+                ControlDirective(kind=DirectiveKind.END_RUN),
+                FileEvent(path=workdir / "b.csv", kind=EventKind.READ_INTENT),
             ],
-            [ControlDirective(kind=DirectiveKind.END_RUN, seq=1)],
             config,
             workdir,
         )

@@ -26,23 +26,24 @@ from provwrap import (
     apply_size_threshold,
     build_document,
     classify,
+    parse_control_stream,
     parse_prov_json,
     to_prov_json,
     validate,
 )
 
-from provwrap.classify import locate, watched_roots
+from provwrap.classify import locate, unify_timeline, watched_roots
 from provwrap.cli import build_arg_parser
 
 from conftest import make_meta, make_record
 
 
-def _event(path, kind, seq):
-    return FileEvent(path=path, kind=kind, seq=seq)
+def _event(path, kind):
+    return FileEvent(path=path, kind=kind)
 
 
-def _directive(kind, path="", seq=0, run_name=None):
-    return ControlDirective(kind=kind, path=path, run_name=run_name, seq=seq)
+def _directive(kind, path="", run_name=None):
+    return ControlDirective(kind=kind, path=path, run_name=run_name)
 
 
 @pytest.fixture
@@ -64,11 +65,11 @@ class TestClassifyBasics:
         image = workdir / "example.png"
         image.write_bytes(b"\x89PNG")
         events = [
-            _event(data, EventKind.CREATED, 0),
-            _event(data, EventKind.READ_INTENT, 1),
-            _event(image, EventKind.CREATED, 2),
+            _event(data, EventKind.CREATED),
+            _event(data, EventKind.READ_INTENT),
+            _event(image, EventKind.CREATED),
         ]
-        segments = classify(events, [], config, workdir, entry_script=entry)
+        segments = classify(events, config, workdir, entry_script=entry)
         assert len(segments) == 1
         records = _by_bundle_path(segments[0].records)
         assert set(records) == {
@@ -82,7 +83,7 @@ class TestClassifyBasics:
         assert records["src/examples/main.py"].category is Category.SOURCE
 
     def test_empty_run(self, workdir, config):
-        segments = classify([], [], config, workdir)
+        segments = classify([], config, workdir)
         assert len(segments) == 1
         assert segments[0].records == []
         assert segments[0].name == "experiment_run"
@@ -91,7 +92,7 @@ class TestClassifyBasics:
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
-            [_event(f, EventKind.READ_INTENT, 0)], [], config, workdir
+            [_event(f, EventKind.READ_INTENT)], config, workdir
         )
         record = segments[0].records[0]
         assert record.category is Category.INPUT
@@ -103,7 +104,7 @@ class TestClassifyBasics:
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
-            [], [_directive(DirectiveKind.INPUT, "data.csv", 0)], config, workdir
+            [_directive(DirectiveKind.INPUT, "data.csv")], config, workdir
         )
         record = segments[0].records[0]
         assert record.logged_by is LoggedBy.USER
@@ -113,7 +114,7 @@ class TestClassifyBasics:
         f = workdir / "data.bin"
         f.write_bytes(b"abc")
         segments = classify(
-            [_event(f, EventKind.CREATED, 0)], [], config, workdir
+            [_event(f, EventKind.CREATED)], config, workdir
         )
         record = segments[0].records[0]
         assert record.size_bytes == 3
@@ -124,7 +125,7 @@ class TestClassifyBasics:
         module = workdir / "lib.py"
         module.write_text("def elaborate(x): return x\n")
         segments = classify(
-            [_event(module, EventKind.READ_INTENT, 0)], [], config, workdir
+            [_event(module, EventKind.READ_INTENT)], config, workdir
         )
         record = segments[0].records[0]
         assert record.category is Category.SOURCE
@@ -134,7 +135,7 @@ class TestClassifyBasics:
         generated = workdir / "gen.py"
         generated.write_text("x = 1\n")
         segments = classify(
-            [_event(generated, EventKind.CREATED, 0)], [], config, workdir
+            [_event(generated, EventKind.CREATED)], config, workdir
         )
         assert segments[0].records[0].category is Category.OUTPUT
 
@@ -144,21 +145,21 @@ class TestClassifyBasics:
         helper.parent.mkdir()
         helper.write_text("theme: dark\n")
         segments = classify(
-            [_event(helper, EventKind.READ_INTENT, 0)], [], config, workdir
+            [_event(helper, EventKind.READ_INTENT)], config, workdir
         )
         assert segments[0].records[0].category is Category.SOURCE
 
     def test_entry_script_forced_even_without_events(self, workdir, config):
         entry = workdir / "main.py"
         entry.write_text("pass\n")
-        segments = classify([], [], config, workdir, entry_script=entry)
+        segments = classify([], config, workdir, entry_script=entry)
         records = _by_bundle_path(segments[0].records)
         assert set(records) == {"src/main.py"}
         assert records["src/main.py"].category is Category.SOURCE
 
     def test_requirements_txt_becomes_environment(self, workdir, config):
         (workdir / "requirements.txt").write_text("pandas\n")
-        segments = classify([], [], config, workdir)
+        segments = classify([], config, workdir)
         records = _by_bundle_path(segments[0].records)
         assert set(records) == {"inputs/requirements.txt"}
         assert records["inputs/requirements.txt"].category is Category.ENVIRONMENT
@@ -166,10 +167,10 @@ class TestClassifyBasics:
     def test_removed_event_discards_pending_output(self, workdir, config):
         transient = workdir / "scratch.tmp"
         events = [
-            _event(transient, EventKind.CREATED, 0),
-            _event(transient, EventKind.REMOVED, 1),
+            _event(transient, EventKind.CREATED),
+            _event(transient, EventKind.REMOVED),
         ]
-        segments = classify(events, [], config, workdir)
+        segments = classify(events, config, workdir)
         assert segments[0].records == []
 
     def test_paths_under_provenance_dir_excluded(self, workdir, config):
@@ -177,7 +178,7 @@ class TestClassifyBasics:
         inside.parent.mkdir(parents=True)
         inside.write_bytes(b"x")
         segments = classify(
-            [_event(inside, EventKind.CREATED, 0)], [], config, workdir
+            [_event(inside, EventKind.CREATED)], config, workdir
         )
         assert segments[0].records == []
 
@@ -187,10 +188,10 @@ class TestClassifyBasics:
         link = workdir / "alias.csv"
         link.symlink_to(real)
         events = [
-            _event(real.resolve(), EventKind.READ_INTENT, 0),
-            _event(link.resolve(), EventKind.READ_INTENT, 1),
+            _event(real.resolve(), EventKind.READ_INTENT),
+            _event(link.resolve(), EventKind.READ_INTENT),
         ]
-        segments = classify(events, [], config, workdir)
+        segments = classify(events, config, workdir)
         assert len(segments[0].records) == 1
 
     def test_external_path_lands_under_inputs_external(self, workdir, config, tmp_path_factory):
@@ -198,8 +199,7 @@ class TestClassifyBasics:
         outside.write_text("x\n")
         outside = outside.resolve()
         segments = classify(
-            [],
-            [_directive(DirectiveKind.INPUT, str(outside), 0)],
+            [_directive(DirectiveKind.INPUT, str(outside))],
             config,
             workdir,
         )
@@ -209,7 +209,7 @@ class TestClassifyBasics:
     def test_vanished_file_recorded_metadata_only(self, workdir, config):
         ghost = workdir / "gone.dat"
         segments = classify(
-            [_event(ghost, EventKind.CREATED, 0)], [], config, workdir
+            [_event(ghost, EventKind.CREATED)], config, workdir
         )
         record = segments[0].records[0]
         assert record.copied is False
@@ -220,8 +220,7 @@ class TestClassifyBasics:
 class TestDirectiveErrors:
     def test_tab_in_directive_path_collected(self, workdir, config):
         segments = classify(
-            [],
-            [_directive(DirectiveKind.INPUT, "bad\tname.csv", 0)],
+            [_directive(DirectiveKind.INPUT, "bad\tname.csv")],
             config,
             workdir,
         )
@@ -230,8 +229,7 @@ class TestDirectiveErrors:
 
     def test_missing_external_directive_path_collected(self, workdir, config):
         segments = classify(
-            [],
-            [_directive(DirectiveKind.INPUT, "/definitely/not/here.csv", 0)],
+            [_directive(DirectiveKind.INPUT, "/definitely/not/here.csv")],
             config,
             workdir,
         )
@@ -240,7 +238,7 @@ class TestDirectiveErrors:
 
     def test_missing_directive_path_inside_cwd_gives_no_record(self, workdir, config):
         segments = classify(
-            [], [_directive(DirectiveKind.INPUT, "nope", 0)], config, workdir
+            [_directive(DirectiveKind.INPUT, "nope")], config, workdir
         )
         assert segments[0].records == []
         assert segments[0].errors == ["directive path does not exist: 'nope'"]
@@ -248,7 +246,7 @@ class TestDirectiveErrors:
     def test_directive_on_a_symlink_loop_gives_no_record(self, workdir, config):
         (workdir / "loop").symlink_to("loop")
         segments = classify(
-            [], [_directive(DirectiveKind.INPUT, "loop", 0)], config, workdir
+            [_directive(DirectiveKind.INPUT, "loop")], config, workdir
         )
         assert segments[0].records == []
         assert segments[0].errors == ["directive path does not exist: 'loop'"]
@@ -259,7 +257,7 @@ class TestDirectiveErrors:
     ):
         make(workdir / "assets")
         segments = classify(
-            [], [_directive(DirectiveKind.INPUT, "assets", 0)], config, workdir
+            [_directive(DirectiveKind.INPUT, "assets")], config, workdir
         )
         assert segments[0].records == []
         assert segments[0].errors == ["directive path is not a regular file: 'assets'"]
@@ -269,8 +267,10 @@ class TestDirectiveErrors:
     ):
         (workdir / "assets").mkdir()
         segments = classify(
-            [_event(workdir / "assets", EventKind.READ_INTENT, 1)],
-            [_directive(DirectiveKind.INPUT, "assets", 0)],
+            [
+                _directive(DirectiveKind.INPUT, "assets"),
+                _event(workdir / "assets", EventKind.READ_INTENT),
+            ],
             config,
             workdir,
         )
@@ -281,8 +281,7 @@ class TestDirectiveErrors:
     def test_directive_on_a_file_the_run_touched_stays_vanished(self, workdir, config, kind):
         gone = workdir / "gone.csv"
         segments = classify(
-            [_event(gone, kind, 1)],
-            [_directive(DirectiveKind.INPUT, "gone.csv", 0)],
+            [_directive(DirectiveKind.INPUT, "gone.csv"), _event(gone, kind)],
             config,
             workdir,
         )
@@ -295,10 +294,9 @@ class TestDirectiveErrors:
         good = workdir / "fine.csv"
         good.write_text("1")
         segments = classify(
-            [],
             [
-                _directive(DirectiveKind.INPUT, "bad\tname.csv", 0),
-                _directive(DirectiveKind.INPUT, "fine.csv", 1),
+                _directive(DirectiveKind.INPUT, "bad\tname.csv"),
+                _directive(DirectiveKind.INPUT, "fine.csv"),
             ],
             config,
             workdir,
@@ -314,8 +312,7 @@ class TestUntrack:
         f = workdir / "secret.bin"
         f.write_bytes(b"s")
         segments = classify(
-            [_event(f, EventKind.CREATED, 0)],
-            [_directive(DirectiveKind.UNTRACK, "secret.bin", 1)],
+            [_event(f, EventKind.CREATED), _directive(DirectiveKind.UNTRACK, "secret.bin")],
             config,
             workdir,
         )
@@ -324,38 +321,37 @@ class TestUntrack:
     def test_untrack_dominates_regardless_of_order(self, workdir, config):
         f = workdir / "secret.bin"
         f.write_bytes(b"s")
-        directives = [
-            _directive(DirectiveKind.UNTRACK, "secret.bin", 0),
-            _directive(DirectiveKind.OUTPUT, "secret.bin", 1),
+        timeline = [
+            _directive(DirectiveKind.UNTRACK, "secret.bin"),
+            _directive(DirectiveKind.OUTPUT, "secret.bin"),
+            _event(f, EventKind.CREATED),
         ]
-        segments = classify(
-            [_event(f, EventKind.CREATED, 2)], directives, config, workdir
-        )
+        segments = classify(timeline, config, workdir)
         assert segments[0].records == []
 
     def test_untrack_is_idempotent(self, workdir, config):
         f = workdir / "secret.bin"
         f.write_bytes(b"s")
         directives = [
-            _directive(DirectiveKind.UNTRACK, "secret.bin", 0),
-            _directive(DirectiveKind.UNTRACK, "secret.bin", 1),
+            _directive(DirectiveKind.UNTRACK, "secret.bin"),
+            _directive(DirectiveKind.UNTRACK, "secret.bin"),
         ]
-        segments = classify([], directives, config, workdir)
+        segments = classify(directives, config, workdir)
         assert segments[0].records == []
 
     def test_late_untrack_downgrades_earlier_segment(self, workdir, config):
         f = workdir / "big.bin"
         f.write_bytes(b"b")
         (workdir / "keep.bin").write_bytes(b"k")
-        timeline_directives = [
-            _directive(DirectiveKind.OUTPUT, "big.bin", 0),
-            _directive(DirectiveKind.OUTPUT, "keep.bin", 1),
-            _directive(DirectiveKind.END_RUN, seq=2, run_name="first"),
-            _directive(DirectiveKind.UNTRACK, "keep.bin\t", 3),  # TAB: ignored
-            _directive(DirectiveKind.UNTRACK, "prov_0/keep.bin", 4),  # excluded
-            _directive(DirectiveKind.UNTRACK, "big.bin", 5),
+        timeline = [
+            _directive(DirectiveKind.OUTPUT, "big.bin"),
+            _directive(DirectiveKind.OUTPUT, "keep.bin"),
+            _directive(DirectiveKind.END_RUN, run_name="first"),
+            _directive(DirectiveKind.UNTRACK, "keep.bin\t"),  # TAB: ignored
+            _directive(DirectiveKind.UNTRACK, "prov_0/keep.bin"),  # excluded
+            _directive(DirectiveKind.UNTRACK, "big.bin"),
         ]
-        segments = classify([], timeline_directives, config, workdir)
+        segments = classify(timeline, config, workdir)
         assert len(segments) == 2
         first, kept = segments[0].records
         assert first.copied is False
@@ -372,12 +368,12 @@ class TestSegmentation:
         a.write_bytes(b"a")
         b = workdir / "b.png"
         b.write_bytes(b"b")
-        events = [
-            _event(a, EventKind.CREATED, 0),
-            _event(b, EventKind.CREATED, 4),
+        timeline = [
+            _event(a, EventKind.CREATED),
+            _directive(DirectiveKind.END_RUN, run_name="first"),
+            _event(b, EventKind.CREATED),
         ]
-        directives = [_directive(DirectiveKind.END_RUN, seq=2, run_name="first")]
-        segments = classify(events, directives, config, workdir)
+        segments = classify(timeline, config, workdir)
         assert [s.name for s in segments] == ["first", "experiment_run_1"]
         assert [r.bundle_relative_path for r in segments[0].records] == [
             "outputs/a.png"
@@ -387,16 +383,16 @@ class TestSegmentation:
         ]
 
     def test_trailing_implicit_segment_always_exists(self, workdir, config):
-        directives = [_directive(DirectiveKind.END_RUN, seq=0, run_name="only")]
-        segments = classify([], directives, config, workdir)
+        directives = [_directive(DirectiveKind.END_RUN, run_name="only")]
+        segments = classify(directives, config, workdir)
         assert [s.name for s in segments] == ["only", "experiment_run_1"]
 
     def test_duplicate_segment_names_disambiguated(self, workdir, config):
         directives = [
-            _directive(DirectiveKind.END_RUN, seq=0, run_name="phase"),
-            _directive(DirectiveKind.END_RUN, seq=1, run_name="phase"),
+            _directive(DirectiveKind.END_RUN, run_name="phase"),
+            _directive(DirectiveKind.END_RUN, run_name="phase"),
         ]
-        segments = classify([], directives, config, workdir)
+        segments = classify(directives, config, workdir)
         names = [s.name for s in segments]
         assert len(set(names)) == 3
 
@@ -409,15 +405,15 @@ class TestSegmentation:
             p.write_text(name)
             paths[name] = p
         merged_events = [
-            _event(paths["a.csv"], EventKind.READ_INTENT, 0),
-            _event(paths["b.png"], EventKind.CREATED, 2),
-            _event(paths["c.txt"], EventKind.CREATED, 4),
+            _event(paths["a.csv"], EventKind.READ_INTENT),
+            _event(paths["b.png"], EventKind.CREATED),
+            _event(paths["c.txt"], EventKind.CREATED),
         ]
-        directives = [_directive(DirectiveKind.END_RUN, seq=3, run_name="first")]
-        combined = classify(merged_events, directives, config, workdir)
+        end_run = _directive(DirectiveKind.END_RUN, run_name="first")
+        combined = classify([*merged_events[:2], end_run, merged_events[2]], config, workdir)
 
-        first_alone = classify(merged_events[:2], [], config, workdir)
-        second_alone = classify(merged_events[2:], [], config, workdir)
+        first_alone = classify(merged_events[:2], config, workdir)
+        second_alone = classify(merged_events[2:], config, workdir)
         key = lambda seg: sorted(
             (r.bundle_relative_path, r.category) for r in seg.records
         )
@@ -427,8 +423,8 @@ class TestSegmentation:
     def test_entry_script_present_in_every_segment(self, workdir, config):
         entry = workdir / "main.py"
         entry.write_text("pass\n")
-        directives = [_directive(DirectiveKind.END_RUN, seq=0, run_name="first")]
-        segments = classify([], directives, config, workdir, entry_script=entry)
+        directives = [_directive(DirectiveKind.END_RUN, run_name="first")]
+        segments = classify(directives, config, workdir, entry_script=entry)
         for segment in segments:
             assert "src/main.py" in _by_bundle_path(segment.records)
 
@@ -450,21 +446,18 @@ class TestSegmentation:
         data = workdir / "data.csv"
         data.write_text("1\n")
         hidden = workdir / "prov_0" / "old.png"
-        events, directives = [], []
+        timeline = []
         for k in range(3):  # three segments, each touching every path
-            base = 10 * k
-            events += [
-                _event(data, EventKind.READ_INTENT, base),
-                _event(data, EventKind.READ_INTENT, base + 1),
-                _event(workdir / f"out{k}.png", EventKind.WRITE_INTENT, base + 2),
-                _event(hidden, EventKind.WRITE_INTENT, base + 3),
+            timeline += [
+                _event(data, EventKind.READ_INTENT),
+                _event(data, EventKind.READ_INTENT),
+                _event(workdir / f"out{k}.png", EventKind.WRITE_INTENT),
+                _event(hidden, EventKind.WRITE_INTENT),
+                _directive(DirectiveKind.INPUT, "data.csv"),
+                _directive(DirectiveKind.UNTRACK, "prov_0/old.png"),
+                _directive(DirectiveKind.END_RUN),
             ]
-            directives += [
-                _directive(DirectiveKind.INPUT, "data.csv", base + 4),
-                _directive(DirectiveKind.UNTRACK, "prov_0/old.png", base + 5),
-                _directive(DirectiveKind.END_RUN, seq=base + 6),
-            ]
-        segments = classify(events, directives, config, workdir, entry_script=entry)
+        segments = classify(timeline, config, workdir, entry_script=entry)
         assert len(segments) == 4
         assert asked == Counter(
             ["data.csv", "out0.png", "out1.png", "out2.png", "prov_0/old.png",
@@ -490,18 +483,15 @@ class TestSegmentation:
         data.write_text("1\n")
         chart = workdir / "chart.png"
         chart.write_bytes(b"png")
-        events, directives = [], []
+        timeline = []
         for k in range(3):  # three segments, each recording every path
-            base = 10 * k
-            events += [
-                _event(data, EventKind.READ_INTENT, base),
-                _event(chart, EventKind.WRITE_INTENT, base + 1),
+            timeline += [
+                _event(data, EventKind.READ_INTENT),
+                _event(chart, EventKind.WRITE_INTENT),
+                _directive(DirectiveKind.INPUT, "data.csv"),
+                _directive(DirectiveKind.END_RUN),
             ]
-            directives += [
-                _directive(DirectiveKind.INPUT, "data.csv", base + 2),
-                _directive(DirectiveKind.END_RUN, seq=base + 3),
-            ]
-        segments = classify(events, directives, config, workdir, entry_script=entry)
+        segments = classify(timeline, config, workdir, entry_script=entry)
         assert [len(segment.records) for segment in segments] == [4, 4, 4, 2]
         assert hashed == Counter([data, chart, entry, requirements])
         for segment in segments:
@@ -558,7 +548,7 @@ class TestSizeThreshold:
         big = workdir / "big.bin"
         big.write_bytes(b"\x00" * 1_000_001)
         segments = classify(
-            [], [_directive(DirectiveKind.INPUT, "big.bin", 0)], config, workdir
+            [_directive(DirectiveKind.INPUT, "big.bin")], config, workdir
         )
         record = segments[0].records[0]
         assert record.copied is False
@@ -572,7 +562,7 @@ class TestInputSavingModes:
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
-            [_event(f, EventKind.READ_INTENT, 0)], [], config, workdir
+            [_event(f, EventKind.READ_INTENT)], config, workdir
         )
         record = segments[0].records[0]
         assert record.copied is False
@@ -584,7 +574,7 @@ class TestInputSavingModes:
         f = workdir / "data.csv"
         f.write_text("1")
         segments = classify(
-            [_event(f, EventKind.READ_INTENT, 0)], [], config, workdir
+            [_event(f, EventKind.READ_INTENT)], config, workdir
         )
         record = segments[0].records[0]
         assert record.copied is False
@@ -595,7 +585,7 @@ class TestInputSavingModes:
         f = workdir / "out.png"
         f.write_bytes(b"p")
         segments = classify(
-            [_event(f, EventKind.CREATED, 0)], [], config, workdir
+            [_event(f, EventKind.CREATED)], config, workdir
         )
         assert segments[0].records[0].copied is True
 
@@ -622,35 +612,24 @@ class TestPipelineProperty:
                     path.write_bytes(rng.randbytes(rng.randint(0, 40)))
                 pool.append(path)
 
-            events, directives = [], []
-            seq = 0
+            timeline = []
             for path in pool:
                 for _ in range(rng.randint(0, 2)):
                     if rng.random() < 0.5:
-                        events.append(
-                            FileEvent(path=path, kind=rng.choice(event_kinds), seq=seq)
-                        )
+                        timeline.append(FileEvent(path=path, kind=rng.choice(event_kinds)))
                     else:
-                        directives.append(
-                            ControlDirective(
-                                kind=rng.choice(directive_kinds),
-                                path=str(path),
-                                seq=seq,
-                            )
+                        timeline.append(
+                            ControlDirective(kind=rng.choice(directive_kinds), path=str(path))
                         )
-                    seq += 1
             for _ in range(rng.randint(0, 2)):
-                directives.append(
+                timeline.append(
                     ControlDirective(
-                        kind=DirectiveKind.END_RUN,
-                        run_name=rng.choice([None, "phase"]),
-                        seq=seq,
+                        kind=DirectiveKind.END_RUN, run_name=rng.choice([None, "phase"])
                     )
                 )
-                seq += 1
 
             config = RunConfig()
-            segments = classify(events, directives, config, workdir)
+            segments = classify(timeline, config, workdir)
             meta = make_meta()
             seen_names = set()
             for segment in segments:
@@ -743,16 +722,14 @@ _EXCLUDED = "prov_0/x.png"
 _ENTRY = "main.py"
 _WRITE_KINDS = (EventKind.WRITE_INTENT, EventKind.CREATED, EventKind.MODIFIED)
 
-_SEQS = st.integers(0, 6)  # few values, so seqs tie often
 _ITEMS = st.one_of(
     st.tuples(st.just("event"), st.sampled_from(list(EventKind)),
-              st.sampled_from(_UNIVERSE), _SEQS),
+              st.sampled_from(_UNIVERSE)),
     st.tuples(st.just("directive"),
               st.sampled_from([DirectiveKind.INPUT, DirectiveKind.OUTPUT,
                                DirectiveKind.UNTRACK]),
-              st.sampled_from(_UNIVERSE), st.booleans(), _SEQS),
-    st.tuples(st.just("end"), st.sampled_from([None, "phase", "experiment_run_1"]),
-              _SEQS),
+              st.sampled_from(_UNIVERSE), st.booleans()),
+    st.tuples(st.just("end"), st.sampled_from([None, "phase", "experiment_run_1"])),
 )
 
 
@@ -761,18 +738,14 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
     path_of = {name: (cwd / name).resolve() for name in _UNIVERSE}
     name_of = {path: name for name, path in path_of.items()}
     named = {path_of[item[2]] for item in items if item[0] == "event"}
-    merged = sorted(
-        range(len(items)),
-        key=lambda k: (items[k][-1], items[k][0] == "event", k),
-    )
     segments, current, ends = [], [], []
-    for k in merged:
-        if items[k][0] == "end":
+    for item in items:
+        if item[0] == "end":
             segments.append(current)
-            ends.append(items[k][1])
+            ends.append(item[1])
             current = []
         else:
-            current.append(items[k])
+            current.append(item)
     segments.append(current)
     ends.append(None)
 
@@ -785,9 +758,9 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
         last_write = {}
         for item in segment:
             if item[0] == "event":
-                _, kind, name, _ = item
+                _, kind, name = item
             else:
-                _, kind, name, absolute, _ = item
+                _, kind, name, absolute = item
                 spelling = str(path_of[name]) if absolute else name
                 if "\t" in spelling:
                     errors.append(
@@ -892,20 +865,20 @@ def test_classify_agrees_with_the_reference_model(
             elif kind == "file":
                 size = 1_000_001 if name == "data.csv" and big else len(name)
                 path.write_bytes(b"x" * size)
-        events, directives = [], []
+        timeline = []
         for item in items:
             if item[0] == "event":
-                _, kind, name, seq = item
-                events.append(_event((cwd / name).resolve(), kind, seq))
+                _, kind, name = item
+                timeline.append(_event((cwd / name).resolve(), kind))
             elif item[0] == "directive":
-                _, kind, name, absolute, seq = item
+                _, kind, name, absolute = item
                 spelling = str((cwd / name).resolve()) if absolute else name
-                directives.append(_directive(kind, spelling, seq))
+                timeline.append(_directive(kind, spelling))
             else:
-                directives.append(_directive(DirectiveKind.END_RUN, seq=item[2], run_name=item[1]))
+                timeline.append(_directive(DirectiveKind.END_RUN, run_name=item[1]))
         config = RunConfig(input_copies=input_copies, skip_files_larger_than=1)
         entry = cwd / _ENTRY if with_entry else None
-        segments = classify(events, directives, config, cwd, entry_script=entry)
+        segments = classify(timeline, config, cwd, entry_script=entry)
         actual = [
             (
                 segment.name,
@@ -919,3 +892,58 @@ def test_classify_agrees_with_the_reference_model(
             for segment in segments
         ]
         assert actual == _model(items, kinds, with_entry, input_copies, big, cwd)
+
+
+# --- rejected control lines --------------------------------------------------
+
+_CONTROL_NAMES = ("a.csv", "b.png", "c.txt", "gone.csv")
+_VALID_LINES = st.one_of(
+    st.tuples(st.sampled_from(["INPUT", "OUTPUT", "UNTRACK"]), st.sampled_from(_CONTROL_NAMES))
+    .map("\t".join),
+    st.sampled_from(["END_RUN", "END_RUN\tphase", "END_RUN\texperiment_run_1"]),
+)
+# Each is refused by parse_control_line: an unknown verb, a path verb
+# without a path, or bytes that are not UTF-8 (as surrogateescape reads them).
+_REJECTED_LINES = st.one_of(
+    st.tuples(
+        st.sampled_from(["FROB", "input", "End_Run", "END_RUNS", " OUTPUT", "UNTRACKED"]),
+        st.sampled_from(["", "\ta.csv", "\t"]),
+    ).map("".join),
+    st.sampled_from(["INPUT", "OUTPUT\t", "UNTRACK"]),
+    st.sampled_from(["INPUT\ta\udcff.csv", "END_RUN\t\udcfe", "\udcff"]),
+)
+
+
+@given(
+    valid=st.lists(_VALID_LINES, max_size=8),
+    rejected=st.lists(st.tuples(st.integers(0, 8), _REJECTED_LINES), max_size=6),
+    created=st.lists(st.sampled_from(_CONTROL_NAMES), unique=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_rejected_control_lines_never_cost_a_valid_segment(valid, rejected, created):
+    mixed = list(valid)
+    for position, line in sorted(rejected, reverse=True):
+        mixed.insert(min(position, len(mixed)), line)
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = Path(tmp).resolve()
+        for name in _CONTROL_NAMES[:3]:
+            (cwd / name).write_text(name)
+        events = [FileEvent(cwd / name, EventKind.CREATED) for name in created]
+
+        def bundles(lines):
+            directives = parse_control_stream(lines)
+            timeline = unify_timeline(events, directives, None, trace_order=False, cwd=cwd)
+            return [
+                (
+                    segment.name,
+                    segment.errors,
+                    [
+                        (r.bundle_relative_path, r.category, r.logged_by, r.sha256,
+                         r.copied, r.skip_reason)
+                        for r in segment.records
+                    ],
+                )
+                for segment in classify(timeline, RunConfig(), cwd)
+            ]
+
+        assert bundles(mixed) == bundles(valid)

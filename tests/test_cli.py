@@ -1,6 +1,5 @@
 """Wrapper CLI: flag mapping, timeline unification, end-to-end pipeline."""
 
-import dataclasses
 import errno
 import importlib
 import json
@@ -37,7 +36,7 @@ from provwrap.cli import (
 )
 from provwrap.monitor import INDEX_FILES_KEPT, index_file, save_indexes
 
-from conftest import ends_past_its_ctime_tick, wait_for_ctime_to_pass, write_sample_project
+from conftest import write_sample_project
 
 
 def _parse_config(flags):
@@ -145,67 +144,55 @@ class TestUnifyTimeline:
         a = (tmp_path / "a.png").resolve()
         b = (tmp_path / "b.png").resolve()
         events = [
-            FileEvent(path=a, kind=EventKind.CREATED, seq=0),
-            FileEvent(path=b, kind=EventKind.CREATED, seq=1),
+            FileEvent(path=a, kind=EventKind.CREATED),
+            FileEvent(path=b, kind=EventKind.CREATED),
         ]
-        directives = [
-            ControlDirective(kind=DirectiveKind.OUTPUT, path=str(a), seq=0),
-            ControlDirective(kind=DirectiveKind.END_RUN, run_name="first", seq=1),
-        ]
-        out_events, out_directives = unify_timeline(
-            events, directives, None, trace_order=False, cwd=tmp_path
+        output = ControlDirective(kind=DirectiveKind.OUTPUT, path=str(a), index=0)
+        end_run = ControlDirective(kind=DirectiveKind.END_RUN, run_name="first", index=1)
+        timeline = unify_timeline(
+            events, [output, end_run], None, trace_order=False, cwd=tmp_path
         )
-        seq_of = {e.path: e.seq for e in out_events}
-        end_run_seq = next(
-            d.seq for d in out_directives if d.kind is DirectiveKind.END_RUN
-        )
-        assert seq_of[a] < end_run_seq  # anchored into the first segment
-        assert seq_of[b] > end_run_seq  # unmentioned events trail
+        # a is anchored into the first segment; unmentioned events trail
+        assert timeline == [output, events[0], end_run, events[1]]
 
     def test_trace_mode_anchors_directives_at_control_writes(self, tmp_path):
         control = (tmp_path / "control").resolve()
         out = (tmp_path / "a.png").resolve()
         later = (tmp_path / "b.png").resolve()
         events = [
-            FileEvent(path=out, kind=EventKind.WRITE_INTENT, seq=0),
-            FileEvent(path=control, kind=EventKind.WRITE_INTENT, seq=1),
-            FileEvent(path=later, kind=EventKind.WRITE_INTENT, seq=2),
+            FileEvent(path=out, kind=EventKind.WRITE_INTENT),
+            FileEvent(path=control, kind=EventKind.WRITE_INTENT),
+            FileEvent(path=later, kind=EventKind.WRITE_INTENT),
         ]
-        directives = [
-            ControlDirective(kind=DirectiveKind.END_RUN, run_name="first", seq=0)
-        ]
-        out_events, out_directives = unify_timeline(
-            events, directives, control, trace_order=True
-        )
-        assert all(e.path != control for e in out_events)
-        end_run_seq = out_directives[0].seq
-        seq_of = {e.path: e.seq for e in out_events}
-        assert seq_of[out] < end_run_seq < seq_of[later]
+        end_run = ControlDirective(kind=DirectiveKind.END_RUN, run_name="first", index=0)
+        timeline = unify_timeline(events, [end_run], control, trace_order=True)
+        assert timeline == [events[0], end_run, events[2]]
 
 
 def _reference_unify_timeline(
     events, directives, control_path, trace_order, cwd=None
 ):
-    """The former unify_timeline (2k / 2k+1 seqs), kept as an oracle."""
+    """The former unify_timeline (2k / 2k+1 seqs), kept as an oracle: it
+    returns (seq, item) pairs, event k of the list taking seq k."""
     if trace_order:
         anchors = [
-            event.seq
-            for event in events
+            seq
+            for seq, event in enumerate(events)
             if control_path is not None and event.path == control_path
         ]
         kept = [
-            dataclasses.replace(event, seq=event.seq * 2)
-            for event in events
+            (seq * 2, event)
+            for seq, event in enumerate(events)
             if control_path is None or event.path != control_path
         ]
         out_directives = []
         for index, directive in enumerate(directives):
             if anchors:  # control line i is anchored at the i-th open
-                anchor = anchors[min(directive.seq, len(anchors) - 1)]
+                anchor = anchors[min(directive.index, len(anchors) - 1)]
                 seq = anchor * 2 + 1
             else:
                 seq = len(events) * 2 + 1 + index
-            out_directives.append(dataclasses.replace(directive, seq=seq))
+            out_directives.append((seq, directive))
         return kept, out_directives
 
     base = Path.cwd() if cwd is None else Path(cwd)
@@ -220,10 +207,7 @@ def _reference_unify_timeline(
             path = base / path
         path = path.resolve()
         mentioned.setdefault(path, index)
-    out_directives = [
-        dataclasses.replace(directive, seq=index * 2)
-        for index, directive in enumerate(directives)
-    ]
+    out_directives = [(index * 2, directive) for index, directive in enumerate(directives)]
     out_events = []
     unanchored = 0
     for event in events:
@@ -232,7 +216,7 @@ def _reference_unify_timeline(
         else:
             seq = len(directives) * 2 + 1 + unanchored
             unanchored += 1
-        out_events.append(dataclasses.replace(event, seq=seq))
+        out_events.append((seq, event))
     return out_events, out_directives
 
 
@@ -243,37 +227,38 @@ _ORACLE_NAMES = ["a.csv", "sub/b.png", "./a.csv", "../out.txt", "/elsewhere/c.cs
 
 @st.composite
 def _timelines(draw):
-    """Trace-ordered events (seq gaps, control opens, repeated paths) and
-    directives (TAB/LF paths, END_RUN, more or fewer than the opens)."""
-    events, seq = [], 0
+    """Trace-ordered events (control opens, repeated paths) and directives
+    (TAB/LF paths, END_RUN, more or fewer than the opens)."""
+    events = []
     for _ in range(draw(st.integers(0, 12))):
-        seq += draw(st.integers(1, 3))  # the root filter leaves gaps
         if draw(st.integers(0, 4)) == 0:
             path = _ORACLE_CONTROL
         else:
             path = (_ORACLE_CWD / draw(st.sampled_from(_ORACLE_NAMES))).resolve()
         kind = draw(st.sampled_from(EventKind))
-        events.append(FileEvent(path=path, kind=kind, seq=seq))
+        events.append(FileEvent(path=path, kind=kind))
     directives, line = [], 0
     for _ in range(draw(st.integers(0, 8))):
         line += draw(st.integers(1, 2))  # blank control lines keep their index
         kind = draw(st.sampled_from(DirectiveKind))
         if kind is DirectiveKind.END_RUN:
-            directives.append(ControlDirective(kind=kind, run_name="r", seq=line))
+            directives.append(ControlDirective(kind=kind, run_name="r", index=line))
         else:
             name = draw(st.sampled_from(_ORACLE_NAMES))
             path = name + draw(st.sampled_from(["", "\t", "\n"]))
-            directives.append(ControlDirective(kind=kind, path=path, seq=line))
+            directives.append(ControlDirective(kind=kind, path=path, index=line))
     return events, directives
 
 
 def _merged_order(events, directives):
-    """The item order classify merges into: (seq, kind, index) sorted."""
+    """The items of the oracle's (seq, item) pairs in the order the former
+    classify merged them: by seq, directives first on ties, then list order."""
     return [
-        (kind, index)
-        for _, kind, index in sorted(
-            [(d.seq, 0, i) for i, d in enumerate(directives)]
-            + [(e.seq, 1, i) for i, e in enumerate(events)]
+        item
+        for _, _, _, item in sorted(
+            [(seq, 0, i, d) for i, (seq, d) in enumerate(directives)]
+            + [(seq, 1, i, e) for i, (seq, e) in enumerate(events)],
+            key=lambda entry: entry[:3],
         )
     ]
 
@@ -282,24 +267,15 @@ def _merged_order(events, directives):
 @given(timeline=_timelines(), trace_order=st.booleans())
 def test_unify_timeline_keeps_the_reference_merge_order(timeline, trace_order):
     events, directives = timeline
-    # the former pipeline renumbered events 0..n-1 before unifying them
-    renumbered = [dataclasses.replace(e, seq=i) for i, e in enumerate(events)]
-    old_events, old_directives = _reference_unify_timeline(
-        renumbered, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD
+    expected = _merged_order(
+        *_reference_unify_timeline(
+            events, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD
+        )
     )
-    new_events, new_directives = unify_timeline(
-        events, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD
-    )
-    strip = lambda items: [dataclasses.replace(item, seq=0) for item in items]
-    assert strip(new_events) == strip(old_events)
-    assert strip(new_directives) == strip(old_directives)
-    assert _merged_order(new_events, new_directives) == _merged_order(
-        old_events, old_directives
-    )
-    if trace_order:  # kept trace events come back as the very same objects
-        kept = [e for e in events if e.path != _ORACLE_CONTROL]
-        assert len(new_events) == len(kept)
-        assert all(new is old for new, old in zip(new_events, kept))
+    unified = unify_timeline(events, directives, _ORACLE_CONTROL, trace_order, cwd=_ORACLE_CWD)
+    assert unified == expected
+    # every item comes back as the very same object
+    assert all(new is old for new, old in zip(unified, expected))
 
 
 @pytest.fixture
@@ -692,21 +668,19 @@ class TestBackendInterface:
         assert Path(argv[len(prefix)]).resolve() == scratch / "trace"
 
 
-_HASH_CHILD = ends_past_its_ctime_tick(
-    textwrap.dedent(
-        """\
-        import os
+_HASH_CHILD = textwrap.dedent(
+    """\
+    import os
 
-        with open(os.environ["YPROV_CONTROL"], "a") as fh:
-            fh.write("INPUT\\tdata/input.csv\\n")
-        with open("data/input.csv") as fh:
-            fh.read()
-        with open("data/edit.txt", "a") as fh:
-            fh.write("more\\n")
-        with open("out.txt", "w") as fh:
-            fh.write("created\\n")
-        """
-    )
+    with open(os.environ["YPROV_CONTROL"], "a") as fh:
+        fh.write("INPUT\\tdata/input.csv\\n")
+    with open("data/input.csv") as fh:
+        fh.read()
+    with open("data/edit.txt", "a") as fh:
+        fh.write("more\\n")
+    with open("out.txt", "w") as fh:
+        fh.write("created\\n")
+    """
 )
 
 _HASH_UNCHANGED = ["main.py"] + [f"data/u{i}.txt" for i in range(4)]
@@ -720,8 +694,6 @@ def _hash_project(workdir):
     (workdir / "main.py").write_text(_HASH_CHILD)
     (workdir / "data" / "input.csv").write_text("x\n1\n")
     (workdir / "data" / "edit.txt").write_text("old\n")
-    # the before-snapshot's stamp then vouches for every file above
-    wait_for_ctime_to_pass(*(p for p in workdir.rglob("*") if p.is_file()))
 
 
 def _count_hashes(monkeypatch):
@@ -822,7 +794,6 @@ class TestHashOncePerState:
         (workdir / "main.py").write_text("pass\n")
         fresh = workdir / "fresh.bin"
         fresh.write_bytes(b"just written\n")
-        wait_for_ctime_to_pass(workdir / "main.py", fresh)
         monkeypatch.chdir(workdir)
         monitor = importlib.import_module("provwrap.monitor")
         real_hash = monitor.sha256_file
@@ -1248,6 +1219,31 @@ _LOSING_CHILD = textwrap.dedent(
 )
 
 
+@pytest.mark.parametrize("failing", ["json copy", "bundle"])
+def test_a_bundle_is_lost_exactly_when_it_is_absent(tmp_path, monkeypatch, capsys, failing):
+    """With --json, the failed rename of either the prov_0.provenance.json copy
+    or the bundle itself costs the segment, and leaves neither behind."""
+    workdir = (tmp_path / "work").resolve()
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    real_rename = os.rename
+
+    def refuse(source, destination):
+        source, destination = os.fspath(source), os.fspath(destination)
+        if destination.endswith(".provenance.json") == (failing == "json copy"):
+            raise OSError(errno.ENOSPC, "No space left on device", source, None, destination)
+        return real_rename(source, destination)
+
+    monkeypatch.setattr(os, "rename", refuse)
+    capsys.readouterr()
+    child = "open('out.txt', 'w').write('x')"
+    status = run(["--backend", "diff", "--json", "--", sys.executable, "-c", child])
+    err = capsys.readouterr().err
+    assert status == PROVENANCE_EXIT
+    assert "provenance capture failed: segment 'experiment_run' (1 of 1)" in err
+    assert sorted(p.name for p in workdir.iterdir()) == ["out.txt"]
+
+
 class TestALostSegmentCostsOnlyItsBundle:
     """Four segments: a.csv; shared.csv and b.csv, whose copy's digest is
     wrong; shared.csv and c.csv; the trailing one. Every copy is read back."""
@@ -1466,8 +1462,6 @@ class TestNestedWatchDirectory:
             (workdir / "sub").mkdir(parents=True)
             (workdir / "sub" / "a.csv").write_text("x\n1\n")
             (workdir / "main.py").write_text(_WATCH_CHILD)
-            # the before-snapshots' stamps then vouch for both files
-            wait_for_ctime_to_pass(workdir / "main.py", workdir / "sub" / "a.csv")
             monkeypatch.chdir(workdir)
             hashed.clear()
             with caplog.at_level("WARNING"):

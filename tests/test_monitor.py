@@ -10,13 +10,13 @@ import random
 import stat
 import tempfile
 import threading
+import time
 from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import wait_for_ctime_to_pass
 from provwrap import (
     ControlDirective,
     ControlParseError,
@@ -29,7 +29,13 @@ from provwrap import (
     take_snapshot,
 )
 from provwrap.classify import DEFAULT_EXCLUDES
-from provwrap.monitor import INDEX_VERSION, IndexEntry, matches_exclusion, parse_control_line
+from provwrap.monitor import (
+    INDEX_VERSION,
+    IndexEntry,
+    matches_exclusion,
+    parse_control_line,
+    unchanged_since,
+)
 
 monitor = importlib.import_module("provwrap.monitor")
 
@@ -125,7 +131,6 @@ class TestSnapshotDigestReuse:
         for name, data in initial.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(data)
-        wait_for_ctime_to_pass(*(root / name for name in initial))
         before = take_snapshot(root, stamp_prefix="prov_stamp-")
         touched = _mutate(root, mutations)
 
@@ -139,10 +144,38 @@ class TestSnapshotDigestReuse:
 
     def test_unchanged_file_shares_the_previous_entry(self, tmp_path):
         (tmp_path / "a.txt").write_text("same")
-        wait_for_ctime_to_pass(tmp_path / "a.txt")
         before = take_snapshot(tmp_path, stamp_prefix="prov_stamp-")
         after = take_snapshot(tmp_path, previous=before)
         assert after.entries["a.txt"] is before.entries["a.txt"]
+
+    def test_a_file_written_just_before_the_stamp_is_vouched_for(self, tmp_path):
+        # No wait between the write and the snapshot: the stamp itself waits
+        # until its ctime passes the tick the write may share.
+        target = tmp_path / "out.bin"
+        target.write_bytes(b"plot")
+        snap = take_snapshot(tmp_path, ["prov_*"], stamp_prefix="prov_stamp-")
+        assert unchanged_since(os.stat(target), *snap.copy_proof("out.bin"))
+        target.write_bytes(b"PLOT")  # after the stamp: never trusted
+        assert not unchanged_since(os.stat(target), *snap.copy_proof("out.bin"))
+
+    def test_a_ctime_clock_that_does_not_move_keeps_the_first_stamp(
+        self, tmp_path, monkeypatch
+    ):
+        # as on a filesystem whose ctime tick is seconds long
+        seen = []
+        real_fstat = os.fstat
+
+        def recording(fd):
+            st = real_fstat(fd)
+            seen.append(st.st_ctime_ns)
+            return st
+
+        monkeypatch.setattr(monitor.os, "utime", lambda fd: None)
+        monkeypatch.setattr(monitor.os, "fstat", recording)
+        started = time.monotonic()
+        stamp = monitor._stamp_ctime_ns(tmp_path, "prov_stamp-")
+        assert time.monotonic() - started < monitor.STAMP_WAIT_S + 0.5
+        assert len(seen) > 1 and set(seen) == {stamp}
 
     def test_a_wall_clock_ahead_of_the_stamp_lends_no_digest(self, tmp_path):
         # Two clocks: the index's stamp ties the file's ctime, and the index
@@ -227,7 +260,6 @@ class TestSnapshotDigestReuse:
         (tmp_path / "sub").mkdir()
         for name in names:
             (tmp_path / name).write_text(name)
-        wait_for_ctime_to_pass(*(tmp_path / name for name in names))
 
         def refuse(*args, **kwargs):
             raise PermissionError(13, "Permission denied")
@@ -312,7 +344,6 @@ class TestDigestIndex:
         for name, data in initial.items():
             (root / name).parent.mkdir(parents=True, exist_ok=True)
             (root / name).write_bytes(data)
-        wait_for_ctime_to_pass(*(root / name for name in initial))
         before = take_snapshot(root, stamp_prefix="prov_stamp-")
         save_snapshot(before, index)
         touched = _mutate(root, mutations)
@@ -332,7 +363,6 @@ class TestDigestIndex:
         root.mkdir()
         for name in ("a.txt", "b.txt"):
             (root / name).write_text(name)
-        wait_for_ctime_to_pass(root / "a.txt", root / "b.txt")
         cold = take_snapshot(root, stamp_prefix="prov_stamp-")
         for name in ("a.txt", "b.txt"):
             assert cold.copy_proof(name) == (cold.entries[name], cold.stamp_ns)
@@ -553,7 +583,6 @@ class TestDiffSnapshots:
             ("b", EventKind.MODIFIED),
             ("a", EventKind.REMOVED),
         ]
-        assert [e.seq for e in events] == [0, 1, 2]
 
     def test_mtime_change_without_content_change_is_not_modified(self, tmp_path):
         f = tmp_path / "same.txt"
@@ -614,7 +643,7 @@ class TestControlStream:
     def test_input_line(self):
         directives = parse_control_stream(["INPUT\tresults.csv"])
         assert directives == [
-            ControlDirective(kind=DirectiveKind.INPUT, path="results.csv", seq=0)
+            ControlDirective(kind=DirectiveKind.INPUT, path="results.csv", index=0)
         ]
 
     def test_empty_stream(self):
@@ -624,8 +653,8 @@ class TestControlStream:
     def test_untrack_then_end_run(self):
         directives = parse_control_stream(["UNTRACK\ttemp.bin", "END_RUN\tphase2"])
         assert directives == [
-            ControlDirective(kind=DirectiveKind.UNTRACK, path="temp.bin", seq=0),
-            ControlDirective(kind=DirectiveKind.END_RUN, run_name="phase2", seq=1),
+            ControlDirective(kind=DirectiveKind.UNTRACK, path="temp.bin", index=0),
+            ControlDirective(kind=DirectiveKind.END_RUN, run_name="phase2", index=1),
         ]
 
     def test_end_run_without_name(self):
@@ -634,7 +663,7 @@ class TestControlStream:
 
     def test_blank_lines_consume_line_indices(self):
         directives = parse_control_stream(["", "OUTPUT\ta.png", "", "INPUT\tb.csv"])
-        assert [(d.kind, d.seq) for d in directives] == [
+        assert [(d.kind, d.index) for d in directives] == [
             (DirectiveKind.OUTPUT, 1),
             (DirectiveKind.INPUT, 3),
         ]
@@ -668,7 +697,7 @@ class TestControlStream:
     def test_a_rejected_line_is_skipped_and_keeps_its_index(self, caplog):
         with caplog.at_level("WARNING", logger="provwrap.monitor"):
             directives = parse_control_stream(["INPUT\ta", "NOPE\tx", "OUTPUT\tb"])
-        assert [(d.kind, d.path, d.seq) for d in directives] == [
+        assert [(d.kind, d.path, d.index) for d in directives] == [
             (DirectiveKind.INPUT, "a", 0),
             (DirectiveKind.OUTPUT, "b", 2),
         ]
@@ -678,11 +707,11 @@ class TestControlStream:
 
     def test_round_trip_through_canonical_line_form(self):
         cases = [
-            ControlDirective(kind=DirectiveKind.INPUT, path="a b.csv", seq=0),
-            ControlDirective(kind=DirectiveKind.OUTPUT, path="plot.png", seq=0),
-            ControlDirective(kind=DirectiveKind.UNTRACK, path="tmp.bin", seq=0),
-            ControlDirective(kind=DirectiveKind.END_RUN, seq=0),
-            ControlDirective(kind=DirectiveKind.END_RUN, run_name="phase2", seq=0),
+            ControlDirective(kind=DirectiveKind.INPUT, path="a b.csv"),
+            ControlDirective(kind=DirectiveKind.OUTPUT, path="plot.png"),
+            ControlDirective(kind=DirectiveKind.UNTRACK, path="tmp.bin"),
+            ControlDirective(kind=DirectiveKind.END_RUN),
+            ControlDirective(kind=DirectiveKind.END_RUN, run_name="phase2"),
         ]
         for directive in cases:
             assert parse_control_stream([directive.to_line()]) == [directive]

@@ -100,10 +100,10 @@ class TestBuildDocument:
         data = cwd / "results.csv"
         data.write_text("points\n1\n")
         events = [
-            FileEvent(path=data, kind=EventKind.CREATED, seq=0),
-            FileEvent(path=data, kind=EventKind.READ_INTENT, seq=1),
+            FileEvent(path=data, kind=EventKind.CREATED),
+            FileEvent(path=data, kind=EventKind.READ_INTENT),
         ]
-        segments = classify(events, [], config, cwd)
+        segments = classify(events, config, cwd)
         records = segments[0].records
         assert len(records) == 1
         assert records[0].category is Category.INPUT

@@ -270,6 +270,14 @@ class TestParseRefusesMalformedInput:
         with pytest.raises(ProvJsonError, match="used yProv4DA:u0: 1 is not a qualified name"):
             parse_prov_json(dump(payload))
 
+    def test_a_key_given_twice_is_refused(self):
+        # json.loads alone keeps the last value: this parsed as exit status 0
+        data = dump(full_payload()).replace(
+            b'"yprov:exit_status": "0"', b'"yprov:exit_status": "9", "yprov:exit_status": "0"'
+        )
+        with pytest.raises(ProvJsonError, match="duplicate key 'yprov:exit_status'"):
+            parse_prov_json(data)
+
     def test_json_nested_too_deeply_to_decode(self):
         with pytest.raises(ProvJsonError, match="not valid UTF-8 JSON"):
             parse_prov_json(b"[" * 100000 + b"]" * 100000)

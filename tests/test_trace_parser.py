@@ -146,7 +146,7 @@ def test_directory_opens_give_no_record(tmp_path):
     ]
     events = parse_trace_stream(lines, strict=True, cwd=tmp_path)
     assert events == []
-    segments = classify(events, [], RunConfig(), tmp_path)
+    segments = classify(events, RunConfig(), tmp_path)
     assert [segment.records for segment in segments] == [[]]
 
 
@@ -166,7 +166,7 @@ def test_an_open_of_something_not_a_regular_file_gives_no_record(tmp_path, flags
         f'openat(AT_FDCWD, "gone.csv", {flags}) = 6',
     ]
     events = parse_trace_stream(lines, strict=True, cwd=tmp_path)
-    [segment] = classify(events, [], RunConfig(), tmp_path)
+    [segment] = classify(events, RunConfig(), tmp_path)
     records = {r.bundle_relative_path: r.skip_reason for r in segment.records}
     # a file that no longer exists keeps its record
     assert records == {"inputs/a.csv": None, "inputs/gone.csv": "vanished"}
@@ -199,9 +199,14 @@ def test_openat_from_a_directory_fd_gives_no_event(tmp_path, caplog):
         assert "2 openat" in warnings[0] and "line 2" in warnings[0]
 
 
-def test_seq_strictly_increases():
-    events = parse_trace_stream(_read_fixture("trace_annotated.txt"))
-    assert [e.seq for e in events] == list(range(len(events)))
+def test_events_follow_transcript_order():
+    # a call emits at its completing line, so any leading part of the
+    # transcript gives a leading part of the events
+    lines = _read_fixture("trace_annotated.txt")
+    events = parse_trace_stream(lines)
+    for cut in range(len(lines) + 1):
+        head = parse_trace_stream(lines[:cut])
+        assert head == events[: len(head)], f"first {cut} lines"
 
 
 def test_failed_open_is_ignored():
@@ -419,7 +424,6 @@ def test_parse_equals_per_event_resolve_oracle(tmp_path_factory, calls):
 
     events = parse_trace_stream(lines, strict=True, cwd=cwd)
     assert [(e.path, e.kind, e.pid) for e in events] == expected
-    assert [e.seq for e in events] == list(range(len(expected)))
 
 
 def test_lstat_calls_bounded_by_distinct_paths(tmp_path, monkeypatch):
@@ -470,7 +474,7 @@ def test_path_fixture_gives_records_under_the_names_the_program_used(tmp_path):
     config = RunConfig(watch_dirs=(Path("../shared"),), excludes=DEFAULT_EXCLUDES + ("cache",))
     roots = watched_roots(config, cwd)
     events = _traced(_read_fixture("trace_paths.txt"), roots, config, base / "scratch")
-    [segment] = classify(events, [], config, cwd, roots=roots)
+    [segment] = classify(events, config, cwd, roots=roots)
     # a symlinked leaf keeps its name (its content is the target's), a
     # symlinked directory and ".." resolve, shared/cache is excluded by its
     # name in its own root, and reads outside every root are dropped
@@ -542,7 +546,7 @@ def test_traced_reads_are_recorded_exactly_when_the_walk_lists_them(
     }
     lines = [f'7 openat(AT_FDCWD, "{texts[i]}", O_RDONLY) = 3\n' for i in picks]
     events = _traced(lines, roots, config, base / "scratch")
-    [segment] = classify(events, [], config, cwd, roots=roots)
+    [segment] = classify(events, config, cwd, roots=roots)
     recorded = {record.original_path for record in segment.records}
     expected = set()
     for i in picks:
