@@ -20,6 +20,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 from stat import S_ISREG
 from typing import BinaryIO, Iterable, Sequence
@@ -42,9 +43,23 @@ def sha256_file(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _glob_regex(pattern: str) -> str:
+    """fnmatch's regex text for pattern without its end anchor, so it can
+    match a prefix; checked, since the anchor's spelling varies by version."""
+    text = fnmatch.translate(pattern)
+    if not (text.startswith("(?s:") and text.endswith((")\\Z", ")\\z"))):
+        raise RuntimeError(f"unexpected fnmatch translation of {pattern!r}: {text!r}")
+    return text[:-2]
+
+
 @functools.lru_cache(maxsize=64)
-def _exclusion_regex(patterns: tuple[str, ...]) -> re.Pattern[str]:
-    return re.compile("|".join(fnmatch.translate(pattern) for pattern in patterns))
+def _exclusion_regexes(patterns: tuple[str, ...]) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """Matchers of "a pattern matches the path" and "... the path or one of
+    its ancestors": a prefix matches and is the whole path or ends before a
+    "/" that is not the first character, so an empty pattern never matches
+    an absolute path through the empty text before its leading "/"."""
+    globs = "(?:" + "|".join(_glob_regex(pattern) for pattern in patterns) + ")"
+    return re.compile(globs + r"\Z"), re.compile(globs + r"(?:\Z|(?<=.)/)", re.DOTALL)
 
 
 def matches_exclusion(rel_path: str, patterns: Sequence[str]) -> bool:
@@ -52,23 +67,23 @@ def matches_exclusion(rel_path: str, patterns: Sequence[str]) -> bool:
 
     rel_path itself is matched as given; its ancestors are matched in the
     normalized form PurePosixPath prints them in (no "." components, no
-    doubled or trailing slashes).
+    doubled or trailing slashes). A normalized rel_path, as a snapshot walk
+    passes, costs one regex match for itself and every ancestor.
     """
     if not patterns:
         return False
-    match = _exclusion_regex(tuple(patterns)).match
-    if match(rel_path):
+    own, own_or_above = _exclusion_regexes(tuple(patterns))
+    if not (
+        "//" in rel_path or "/./" in rel_path or rel_path.startswith("./")
+        or rel_path.endswith(("/", "/.")) or rel_path == "."
+    ):  # already normalized: one match covers it and its ancestors
+        return own_or_above.match(rel_path) is not None
+    if own.match(rel_path):
         return True
-    path = rel_path
-    if "//" in path or "/." in path or path.startswith(".") or path.endswith("/"):
-        parts = [part for part in path.split("/") if part not in ("", ".")]
-        path = ("/" if path.startswith("/") else "") + "/".join(parts)
-    end = path.rfind("/")
-    while end > 0:
-        if match(path[:end]):
-            return True
-        end = path.rfind("/", 0, end)
-    return False
+    parts = [part for part in rel_path.split("/") if part not in ("", ".")]
+    path = ("/" if rel_path.startswith("/") else "") + "/".join(parts)
+    end = path.rfind("/")  # the normalized parent, matched with its ancestors
+    return end > 0 and own_or_above.match(path[:end]) is not None
 
 
 class EventKind(Enum):
@@ -187,6 +202,12 @@ def take_snapshot(
 ) -> Snapshot:
     """Hash every regular file under root, skipping exclusion matches.
 
+    Each directory is listed once, by os.scandir. The keys come in walk
+    order: a directory's files by name, then each subdirectory's, depth
+    first, by name. Each listed entry is tested once with matches_exclusion,
+    which covers its ancestors too; an excluded directory is not listed, and
+    a file is stat'ed once, through its directory entry.
+
     Given previous, an earlier snapshot of the same root, a file keeps its
     previous digest without being read again when unchanged_since holds for
     it and previous.stamp_ns; every other file is hashed, and every file is
@@ -197,9 +218,11 @@ def take_snapshot(
     suffix, created in root before the walk and unlinked at once; pick a
     prefix the excludes match, so a concurrent walk skips it. When root is
     not writable the snapshot has no stamp, and the next snapshot reads
-    every file again. Unreadable files are skipped with a warning, dangling
-    symlinks and symlink loops silently; none aborts the snapshot.
-    Symlinked directories are not followed.
+    every file again. Unreadable files are skipped with a warning; dangling
+    symlinks, symlink loops, files or directories removed during the walk,
+    unreadable directories, fifos, sockets and devices silently; none aborts
+    the snapshot. A symlinked file is listed by its own name; a symlinked
+    directory is not followed.
     previous may be an earlier run's snapshot, saved with save_snapshot and
     read back with load_snapshot: the same rule decides every reuse, and a
     reused entry is previous's own object.
@@ -213,29 +236,41 @@ def take_snapshot(
         raise ValueError(f"snapshot roots differ: {previous.root} vs {root}")
     stamp_ns = None if stamp_prefix is None else _stamp_ctime_ns(root, stamp_prefix)
     entries: dict[str, Entry] = {}
-    for dirpath, dirnames, filenames in os.walk(root):
-        rel_dir = os.path.relpath(dirpath, root)
-        prefix = "" if rel_dir == "." else rel_dir + "/"
-        dirnames[:] = [n for n in sorted(dirnames) if not matches_exclusion(prefix + n, excludes)]
-        for name in sorted(filenames):
-            rel = prefix + name
+    pending = [(str(root), "")]  # directories to list, the next one last
+    while pending:
+        directory, prefix = pending.pop()
+        try:
+            with os.scandir(directory) as listing:
+                # reversed, so popping takes them in name order and frees
+                # each entry, with its cached stat, as soon as it is done
+                listed = sorted(listing, key=attrgetter("name"), reverse=True)
+        except OSError:
+            continue  # unreadable, or removed during the walk
+        below = []
+        while listed:
+            item = listed.pop()
+            rel = prefix + item.name
             if matches_exclusion(rel, excludes):
                 continue
-            full = os.path.join(dirpath, name)
             try:
-                st = os.stat(full)
+                if item.is_dir():
+                    if not item.is_symlink():
+                        below.append((item.path, rel + "/"))
+                    continue
+                st = item.stat()
                 if not S_ISREG(st.st_mode):
                     continue  # fifos, sockets, devices
                 entry = previous.entries.get(rel)
                 # share the previous object: an unchanged file costs no memory
                 if not unchanged_since(st, entry, previous.stamp_ns):
-                    digest = sha256_file(Path(full))
+                    digest = sha256_file(Path(item.path))
                     entry = (st.st_size, st.st_mtime, digest, st.st_ctime_ns, st.st_ino)
                 entries[rel] = entry
             except OSError as exc:
                 # a dangling symlink, a symlink loop or a file removed during the walk
                 if exc.errno not in (errno.ENOENT, errno.ELOOP):
-                    log.warning("snapshot skipping unreadable file %s: %s", full, exc)
+                    log.warning("snapshot skipping unreadable file %s: %s", item.path, exc)
+        pending.extend(reversed(below))  # a directory's files, then its subdirectories'
     return Snapshot(root=root, entries=entries, stamp_ns=stamp_ns)
 
 
@@ -495,9 +530,11 @@ class PathResolver:
 
 # --- trace transcript parsing -----------------------------------------------
 
-_QUOTED = r'"((?:[^"\\]|\\(?s:.))*)"'
+_QUOTED = r'"([^"\\]*(?:\\(?s:.)[^"\\]*)*)"'
 """A strace-quoted string, its raw inner text captured. A backslash always
-takes the next character with it, so \\" never closes the string."""
+takes the next character with it, so \\" never closes the string. The
+loop is unrolled (plain runs between escapes), so a plain run costs one
+step, not one alternation per character."""
 
 # [pid] open-family call, or its resumption; the last group is the call's text
 _LINE = re.compile(

@@ -1,12 +1,19 @@
 """Shared builders for provenance-model test inputs."""
 
+import os
 import textwrap
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from provwrap import ArtifactRecord, Category, LoggedBy, RunConfig, RunMetadata
+
+# HYPOTHESIS_PROFILE=ci draws more examples per property, with no deadline,
+# for a CI runner's spare time; a test's own @settings still win.
+settings.register_profile("ci", max_examples=1000, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_meta(**overrides) -> RunMetadata:
@@ -69,38 +76,6 @@ def write_sample_project(workdir: Path) -> None:
             """
         )
     )
-
-
-_LAST_STEP = textwrap.dedent(
-    """
-    import os as _os, tempfile as _tempfile, time as _time
-
-    _fd, _probe = _tempfile.mkstemp(prefix="prov_tick-", dir=".")
-    _written, _deadline = _os.fstat(_fd).st_ctime_ns, _time.monotonic() + 5
-    while _os.fstat(_fd).st_ctime_ns <= _written:
-        if _time.monotonic() > _deadline:
-            raise SystemExit("the filesystem clock never moved")
-        _os.utime(_fd)
-    _os.close(_fd)
-    _os.unlink(_probe)
-    """
-)
-
-
-def ends_past_its_ctime_tick(script: str) -> str:
-    """Return a child script that, as its last step, waits out the ctime tick
-    of everything it wrote.
-
-    The after-snapshot's stamp is made just after the child exits. On a
-    filesystem whose ctimes are coarse, a file the child wrote last can share
-    the stamp's tick, and its fresh digest then vouches for nothing: the
-    bundle hashes that copy. This last step makes a probe file in the working
-    directory (named prov_tick-…, so the prov_* exclusion hides it, and
-    removed again), and returns once the filesystem's clock has moved past
-    the probe's creation, so a count of hashes a test pins holds on any
-    timestamp granularity.
-    """
-    return script + _LAST_STEP
 
 
 @pytest.fixture(autouse=True)

@@ -108,7 +108,131 @@ class TestTakeSnapshot:
         assert caplog.records == []
 
 
-_NAMES = ["a.txt", "b.txt", "sub/c.txt", "sub/d.bin", "sub/deep/e.bin"]
+def _counted_tree(root):
+    """a.txt, sub/b.txt, sub/deep/c.txt, sub/link -> sub/deep, a fifo, and
+    two excluded directories with files two levels down."""
+    (root / "sub" / "deep").mkdir(parents=True)
+    (root / ".git" / "objects").mkdir(parents=True)
+    (root / "prov_0" / "inputs").mkdir(parents=True)
+    for rel in ["a.txt", "sub/b.txt", "sub/deep/c.txt", ".git/HEAD", ".git/objects/x",
+                "prov_0/inputs/y"]:
+        (root / rel).write_text(rel)
+    (root / "sub" / "link").symlink_to(root / "sub" / "deep")
+    os.mkfifo(root / "pipe")
+    return (".git", "prov_*")
+
+
+class TestSnapshotCounters:
+    def test_each_listed_entry_is_tested_once_and_no_excluded_directory_is_listed(
+        self, tmp_path, monkeypatch
+    ):
+        excludes = _counted_tree(tmp_path)
+        tested, listed = [], []
+        matches, scandir = monitor.matches_exclusion, os.scandir
+        monkeypatch.setattr(
+            monitor, "matches_exclusion",
+            lambda rel, patterns: tested.append(rel) or matches(rel, patterns),
+        )
+        monkeypatch.setattr(os, "scandir", lambda path: listed.append(path) or scandir(path))
+        snap = take_snapshot(tmp_path, excludes)
+        assert list(snap.entries) == ["a.txt", "sub/b.txt", "sub/deep/c.txt"]
+        assert sorted(tested) == [
+            ".git", "a.txt", "pipe", "prov_0", "sub", "sub/b.txt", "sub/deep", "sub/deep/c.txt",
+            "sub/link",
+        ]
+        assert listed == [str(tmp_path), str(tmp_path / "sub"), str(tmp_path / "sub" / "deep")]
+
+    def test_a_warm_stamped_rewalk_of_an_unchanged_tree_hashes_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "root"
+        root.mkdir()
+        excludes = _counted_tree(root)
+        first = take_snapshot(root, excludes, stamp_prefix="prov_stamp-")
+        index = tmp_path / "root.index"
+        save_snapshot(first, index)
+        hashed = []
+        monkeypatch.setattr(monitor, "sha256_file", hashed.append)
+        for previous in (first, load_snapshot(index, root)):
+            again = take_snapshot(root, excludes, previous=previous, stamp_prefix="prov_stamp-")
+            assert again.entries == first.entries
+        assert hashed == []
+
+
+def _os_walk_snapshot(root, excludes):
+    """The os.walk snapshot walk that take_snapshot replaced, kept as its
+    oracle with the fnmatch exclusion oracle: [(relative path, entry)] in
+    the order it found them."""
+    found = []
+    for dirpath, dirnames, filenames in os.walk(root):
+        rel_dir = os.path.relpath(dirpath, root)
+        prefix = "" if rel_dir == "." else rel_dir + "/"
+        dirnames[:] = [n for n in sorted(dirnames) if not _fnmatch_oracle(prefix + n, excludes)]
+        for name in sorted(filenames):
+            rel = prefix + name
+            if _fnmatch_oracle(rel, excludes):
+                continue
+            full = os.path.join(dirpath, name)
+            try:
+                st = os.stat(full)
+            except OSError:
+                continue
+            if stat.S_ISREG(st.st_mode):
+                digest = hashlib.sha256(Path(full).read_bytes()).hexdigest()
+                found.append((rel, (st.st_size, st.st_mtime, digest, st.st_ctime_ns, st.st_ino)))
+    return found
+
+
+_TREE_NODE = st.tuples(
+    st.lists(
+        st.sampled_from(["a", "b.txt", "Z", ".git", "__pycache__", "m.pyc", "prov_0", "prov_x"]),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from(["file", "dir", "link_file", "link_dir", "dangling", "loop", "fifo"]),
+)
+
+
+def _build_tree(root, nodes):
+    """Make each (components, kind) node whose path is free and whose parent
+    can be a directory; t.dat and t.d/ are the targets of the links."""
+    (root / "t.d").mkdir()
+    (root / "t.d" / "in.dat").write_bytes(b"in")
+    (root / "t.dat").write_bytes(b"t")
+    for parts, kind in nodes:
+        path = root.joinpath(*parts)
+        if os.path.lexists(path):
+            continue
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            continue  # an ancestor is a file, a fifo or a broken link
+        if kind == "file":
+            path.write_text("/".join(parts))
+        elif kind == "dir":
+            path.mkdir()
+        elif kind == "fifo":
+            os.mkfifo(path)
+        else:
+            target = {"link_file": root / "t.dat", "link_dir": root / "t.d",
+                      "dangling": root / "missing", "loop": path}[kind]
+            path.symlink_to(target)
+
+
+class TestSnapshotWalkOracle:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        nodes=st.lists(_TREE_NODE, max_size=12),
+        excludes=st.sampled_from([DEFAULT_EXCLUDES + ("prov_*",), ("a/Z", "*.txt", "Z/*"), ()]),
+    )
+    def test_agrees_with_the_os_walk_oracle(self, tmp_path, nodes, excludes):
+        root = Path(tempfile.mkdtemp(dir=tmp_path))
+        _build_tree(root, nodes)
+        expected = _os_walk_snapshot(root, excludes)
+        assert list(take_snapshot(root, excludes).entries.items()) == expected
+
+
+_NAMES =["a.txt", "b.txt", "sub/c.txt", "sub/d.bin", "sub/deep/e.bin"]
 _MUTATION = st.tuples(
     st.sampled_from(["same_size", "rename_over", "recreate", "chmod", "new_file"]),
     st.sampled_from(_NAMES),
@@ -534,7 +658,7 @@ _PATH = st.builds(
 ).filter(lambda path: not (path.startswith("//") and not path.startswith("///")))
 _PATTERNS = st.lists(
     st.sampled_from(
-        ["*", "**", "?", "[!x]", "a*", "*/a", "?/*", "[!x]*", "*.pyc", "prov_*"]
+        ["*", "**", "?", "[!x]", "a*", "*/a", "?/*", "[!x]*", "*.pyc", "prov_*", "", "a/", "/a*"]
         + list(DEFAULT_EXCLUDES)
     ),
     max_size=4,

@@ -11,7 +11,7 @@ from pathlib import Path
 
 from provwrap import cli
 
-from conftest import ends_past_its_ctime_tick, write_sample_project
+from conftest import write_sample_project
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -22,8 +22,6 @@ def test_probes_install_trace_a_run_and_uninstall(tmp_path, monkeypatch):
     workdir = tmp_path / "work"
     workdir.mkdir()
     write_sample_project(workdir)
-    script = workdir / "examples" / "main.py"
-    script.write_text(ends_past_its_ctime_tick(script.read_text()))
     monkeypatch.chdir(workdir)
     command = ["--backend", "diff", "--", sys.executable, "examples/main.py"]
     # A warm run, as the benchmark makes them: the three unchanged files'

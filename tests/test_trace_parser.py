@@ -17,6 +17,7 @@ from provwrap import (
     parse_trace_stream,
     take_snapshot,
 )
+from provwrap import monitor
 from provwrap.classify import DEFAULT_EXCLUDES, exclusion_patterns, watched_roots
 from provwrap.cli import TraceBackend
 from provwrap.monitor import _QUOTED, sha256_file
@@ -334,6 +335,32 @@ def test_quoted_pattern_agrees_with_the_character_scan(text):
     # the parser takes the first quoted string of a call as its path
     first = re.match('[^"]*' + _QUOTED, text)
     assert (first and (first[1], first.end())) == _scan_quoted(text)
+
+
+# The quoted-string pattern before its loop was unrolled, kept as its oracle.
+_ALTERNATING_QUOTED = r'"((?:[^"\\]|\\(?s:.))*)"'
+_CALL_TEXT = st.lists(
+    st.sampled_from(['"', "\\", ",", "(", ")", "=", " ", "\n", "0", "3", "-1", "42", "a"]),
+    max_size=24,
+).map("".join)
+
+
+@given(_CALL_TEXT)
+def test_unrolled_quoted_pattern_agrees_with_the_alternating_one(text):
+    assert _QUOTED != _ALTERNATING_QUOTED and _QUOTED in monitor._COMPLETED.pattern
+    old_completed = re.compile(
+        monitor._COMPLETED.pattern.replace(_QUOTED, _ALTERNATING_QUOTED), monitor._COMPLETED.flags
+    )
+    for old, new in [
+        (re.compile(_ALTERNATING_QUOTED), re.compile(_QUOTED)),
+        (old_completed, monitor._COMPLETED),
+    ]:
+        for match in (old.match, old.fullmatch, old.search):
+            found = match(text)
+            again = getattr(new, match.__name__)(text)
+            assert (found and (found.span(), found.groups())) == (
+                again and (again.span(), again.groups())
+            )
 
 
 # --- resolving each distinct path once ------------------------------------------
