@@ -133,14 +133,15 @@ def write_bundle(
     written. Each source is opened once, fstat'ed, copied from that
     descriptor and fstat'ed again. The copy is verified against the
     record's digest; a mismatch is a hard error, since a corrupted bundle
-    must never pass as success. It is verified without being read when the
-    record has a proof (its digest was computed in this run, see
-    `Snapshot.copy_proof`) and `unchanged_since` holds for both fstats: the
-    source then held the hashed bytes throughout. Otherwise (a digest from
-    the digest index or from `classify`, a source whose stat moved, or a
-    root without a stamp) the copy is hashed and compared. A source that is
-    gone or no longer a regular file is kept as metadata only, with a
-    warning. Then one document is built from the records as they stand; it
+    must never pass as success. When the record has a proof (its digest was
+    computed in this run, see `Snapshot.copy_proof`) and `unchanged_since`
+    holds for the first fstat, sendfile copies it, and it is verified
+    without being read if the second holds too (the source held the hashed
+    bytes throughout), or read back and hashed if not. Otherwise (a digest
+    from the digest index, a ctime tie, or a root without a stamp) the copy
+    is hashed as it is written, by `sha256_file(fd, copy_to=...)`. A source
+    that is gone or no longer a regular file is kept as metadata only, with
+    a warning. Then one document is built from the records as they stand; it
     and the crate take the segment's name.
 
     links, when given, maps a recorded (sha256, size_bytes) to the first
@@ -192,14 +193,14 @@ def write_bundle(
                 content = (record.sha256, record.size_bytes)
                 shared = None if links is None else links.get(content, made.get(content))
                 if shared is None or not _link_shared(shared, destination):
-                    _copy_from(fd, destination)
                     proof = record.proof
-                    unchanged = (
-                        proof is not None
-                        and unchanged_since(before, *proof)
-                        and unchanged_since(os.fstat(fd), *proof)
-                    )
-                    if not unchanged and sha256_file(destination) != record.sha256:
+                    if proof is not None and unchanged_since(before, *proof):
+                        _copy_from(fd, destination)
+                        held = unchanged_since(os.fstat(fd), *proof)
+                        copied = record.sha256 if held else sha256_file(destination)
+                    else:  # copy_to by keyword: a wrapper that stats the arguments sees fd
+                        copied = sha256_file(fd, copy_to=destination)
+                    if copied != record.sha256:
                         raise BundleError(
                             f"digest mismatch after copying {source} to "
                             f"{record.bundle_relative_path}; the file changed during packaging"

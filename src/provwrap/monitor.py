@@ -12,34 +12,105 @@ import errno
 import fnmatch
 import functools
 import hashlib
+import io
+import itertools
 import json
 import logging
 import os
 import re
 import tempfile
+import threading
 import time
+from collections import deque
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
 from stat import S_ISREG
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Callable, Iterable, Sequence
 
 from .errors import ControlParseError, TraceParseError
 
 log = logging.getLogger(__name__)
 
-_HASH_CHUNK = 1 << 20
+_HASH_CHUNK = 1 << 19  # bytes per read; hashlib releases the GIL on each one
+_HASH_THREAD_FROM = 4 * _HASH_CHUNK  # a larger file is hashed on a second thread
 
 
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while True:
-            chunk = handle.read(_HASH_CHUNK)
-            if not chunk:
+def sha256_file(source: str | os.PathLike[str] | int, copy_to: Path | None = None) -> str:
+    """Return the sha256 of a regular file's bytes, read from offset 0 to its end.
+
+    source is a path, opened non-blocking (a FIFO in its place cannot stall
+    the call), or a descriptor, whose offset is not moved. Anything but a
+    regular file raises OSError. With copy_to, each chunk hashed is also
+    written there, so the digest vouches for the copy without a read-back.
+    A file of more than _HASH_THREAD_FROM bytes is hashed on a worker
+    thread while this one reads the next chunk and writes the last; the
+    worker is joined before the call returns or raises, and an error in
+    either thread ends both.
+    """
+    fd = source if isinstance(source, int) else os.open(source, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        st = os.fstat(fd)
+        if not S_ISREG(st.st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", source)
+        with nullcontext() if copy_to is None else open(copy_to, "wb") as out:
+            write = None if out is None else out.write
+            if st.st_size > _HASH_THREAD_FROM:
+                return _sha256_on_a_second_thread(fd, write)
+            digest = hashlib.sha256()
+            # one read for a small file; a file that grows meanwhile is read to its end
+            step = min(max(st.st_size, io.DEFAULT_BUFFER_SIZE), _HASH_CHUNK)
+            offset = 0
+            while chunk := os.pread(fd, step, offset):
+                digest.update(chunk)
+                if write is not None:
+                    write(chunk)
+                offset += len(chunk)
+            return digest.hexdigest()
+    finally:
+        if not isinstance(source, int):
+            os.close(fd)
+
+
+def _sha256_on_a_second_thread(fd: int, write: Callable[[memoryview], object] | None) -> str:
+    digest, failed = hashlib.sha256(), []
+    buffers = [memoryview(bytearray(_HASH_CHUNK)) for _ in range(2)]
+    lengths: deque[int] = deque()  # of the chunks in buffers[i % 2], in order; 0 stops
+    filled, hashed = threading.Semaphore(0), threading.Semaphore(len(buffers))
+
+    def hash_chunks() -> None:
+        try:
+            for i in itertools.count():
+                filled.acquire()
+                if not (length := lengths.popleft()):
+                    return
+                digest.update(buffers[i % 2][:length])
+                hashed.release()
+        except BaseException as exc:
+            failed.append(exc)
+            hashed.release()
+
+    worker = threading.Thread(target=hash_chunks, name="provwrap-sha256")
+    worker.start()
+    try:
+        offset = 0
+        for i in itertools.count():
+            hashed.acquire()  # buffers[i % 2] is free once chunk i - 2 is hashed
+            if failed or not (length := os.preadv(fd, [buffers[i % 2]], offset)):
                 break
-            digest.update(chunk)
+            lengths.append(length)
+            filled.release()
+            if write is not None:
+                write(buffers[i % 2][:length])  # while the worker hashes the same bytes
+            offset += length
+    finally:
+        lengths.append(0)
+        filled.release()
+        worker.join()
+    if failed:
+        raise failed[0]
     return digest.hexdigest()
 
 

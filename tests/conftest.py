@@ -2,6 +2,7 @@
 
 import os
 import textwrap
+import threading
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -46,6 +47,22 @@ def make_record(bundle_path="inputs/results.csv", **overrides) -> ArtifactRecord
     )
     values.update(overrides)
     return ArtifactRecord(**values)
+
+
+def returns_within(seconds: float, fifo: Path, fn, *args):
+    """Return fn(*args), run on a thread; fail when it has not returned
+    within seconds, after opening fifo for writing so that an open of it
+    blocked waiting for a writer lets the thread go."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(fn(*args)), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        worker.join(seconds)
+        pytest.fail(f"{fn.__name__} blocked on the FIFO {fifo}")
+    assert result, f"{fn.__name__} raised"
+    return result[0]
 
 
 def write_sample_project(workdir: Path) -> None:

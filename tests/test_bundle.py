@@ -4,7 +4,9 @@ import errno
 import hashlib
 import json
 import os
+import random
 import stat
+import threading
 
 import pytest
 
@@ -21,6 +23,8 @@ from provwrap import (
     classify,
     write_bundle,
 )
+
+from provwrap.monitor import _HASH_CHUNK, _HASH_THREAD_FROM
 
 from conftest import make_meta, make_record
 
@@ -370,7 +374,9 @@ class TestCopyCheck:
         hashed = []
         real = bundle_module.sha256_file
         monkeypatch.setattr(
-            bundle_module, "sha256_file", lambda path: hashed.append(path) or real(path)
+            bundle_module,
+            "sha256_file",
+            lambda source, copy_to=None: hashed.append(source) or real(source, copy_to=copy_to),
         )
         bundle_dir = allocate_run_dir("prov", tmp_path)
         report = write_bundle(segment, make_meta(), config, bundle_dir)
@@ -423,3 +429,105 @@ class TestCopyCheck:
         assert segment.records[0].skip_reason == "vanished"
         assert report.bytes_copied == 0
         assert not (bundle_dir / "inputs").exists()
+
+
+class _FullAt:
+    """A file opened for writing whose k-th write fails with ENOSPC."""
+
+    def __init__(self, handle, k):
+        self.handle, self.left = handle, k
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.handle.close()
+
+    def write(self, data):
+        self.left -= 1
+        if not self.left:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.handle.write(data)
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+class TestPipelinedCopyFaults:
+    """A fault at chunk k of a copy hashed as it is written, on a second
+    thread, leaves no bundle, temporary, thread or descriptor behind."""
+
+    CHUNKS = 7
+
+    @pytest.fixture
+    def segment(self, tmp_path):
+        # a digest from the index (no proof), so the copy is hashed as written
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        size = (self.CHUNKS - 1) * _HASH_CHUNK + 12_345
+        assert size > _HASH_THREAD_FROM
+        data = random.Random(size).randbytes(size)
+        source = workdir / "big.bin"
+        source.write_bytes(data)
+        record = make_record(
+            "outputs/big.bin",
+            original_path=source,
+            category=Category.OUTPUT,
+            sha256=hashlib.sha256(data).hexdigest(),
+            size_bytes=size,
+        )
+        return RunSegment(name="experiment_run", records=[record])
+
+    def _fails_leaving_nothing(self, tmp_path, config, segment, error, match):
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        threads, fds = threading.enumerate(), _open_fds()
+        with pytest.raises(error, match=match):
+            write_bundle(segment, make_meta(), config, bundle_dir)
+        assert list(bundle_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prov_0", "work"]
+        assert threading.enumerate() == threads
+        assert _open_fds() == fds
+
+    @pytest.mark.parametrize("k", [1, 4, CHUNKS])
+    def test_enospc_on_the_copy(self, tmp_path, config, monkeypatch, segment, k):
+        import provwrap.monitor as monitor_module
+
+        def opening(path, mode="r", *args, **kwargs):
+            handle = open(path, mode, *args, **kwargs)
+            return _FullAt(handle, k) if "w" in mode else handle
+
+        monkeypatch.setattr(monitor_module, "open", opening, raising=False)
+        self._fails_leaving_nothing(tmp_path, config, segment, OSError, "No space left")
+
+    @pytest.mark.parametrize("k", [1, 4, CHUNKS])
+    def test_eio_on_the_source(self, tmp_path, config, monkeypatch, segment, k):
+        real_preadv, reads = os.preadv, []
+
+        def failing(fd, buffers, offset):
+            reads.append(offset)
+            if len(reads) == k:
+                raise OSError(errno.EIO, os.strerror(errno.EIO))
+            return real_preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", failing)
+        self._fails_leaving_nothing(tmp_path, config, segment, OSError, "Input/output error")
+        assert reads[-1] == (k - 1) * _HASH_CHUNK
+
+    @pytest.mark.parametrize("k", [2, 4, CHUNKS])
+    def test_a_source_rewritten_between_two_chunks(
+        self, tmp_path, config, monkeypatch, segment, k
+    ):
+        source = segment.records[0].original_path
+        real_preadv, reads = os.preadv, []
+
+        def rewriting(fd, buffers, offset):
+            reads.append(offset)
+            if len(reads) == k:  # chunks 1 to k - 1 are hashed and copied
+                data = source.read_bytes()
+                source.write_bytes(data[1:] + data[:1])
+            return real_preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", rewriting)
+        self._fails_leaving_nothing(tmp_path, config, segment, BundleError, "digest mismatch")

@@ -35,7 +35,7 @@ from provwrap import (
 from provwrap.classify import locate, unify_timeline, watched_roots
 from provwrap.cli import build_arg_parser
 
-from conftest import make_meta, make_record
+from conftest import make_meta, make_record, returns_within
 
 
 def _event(path, kind):
@@ -499,6 +499,29 @@ class TestSegmentation:
                 content = record.original_path.read_bytes()
                 assert record.sha256 == hashlib.sha256(content).hexdigest()
                 assert record.size_bytes == len(content)
+
+    def test_a_file_swapped_for_a_fifo_before_its_hash_has_no_digest(
+        self, workdir, config, monkeypatch
+    ):
+        # is_file saw a regular file; by the open it is a FIFO
+        classify_module = importlib.import_module("provwrap.classify")
+        real = classify_module.sha256_file
+        data = workdir / "data.csv"
+        data.write_text("1\n")
+
+        def swap_then_hash(path, *args, **kwargs):
+            if path == data:
+                data.unlink()
+                os.mkfifo(data)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(classify_module, "sha256_file", swap_then_hash)
+        timeline = [_event(data, EventKind.READ_INTENT), _directive(DirectiveKind.INPUT, "data.csv")]
+        segments = returns_within(10, data, classify, timeline, config, workdir)
+        (record,) = segments[0].records
+        assert record.original_path == data
+        assert record.sha256 is None
+        assert not record.copied
 
 
 class TestWatchedRoots:

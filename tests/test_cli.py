@@ -34,7 +34,13 @@ from provwrap.cli import (
     run,
     unify_timeline,
 )
-from provwrap.monitor import INDEX_FILES_KEPT, index_file, save_indexes
+from provwrap.monitor import (
+    _HASH_CHUNK,
+    _HASH_THREAD_FROM,
+    INDEX_FILES_KEPT,
+    index_file,
+    save_indexes,
+)
 
 from conftest import write_sample_project
 
@@ -697,14 +703,18 @@ def _hash_project(workdir):
 
 
 def _count_hashes(monkeypatch):
-    """Count sha256_file calls per path as monitor, classify and bundle make them."""
+    """Count sha256_file calls per path as monitor, classify and bundle make them.
+
+    A source hashed as it is copied counts under its copy's path, as a copy
+    read back does.
+    """
     monitor = importlib.import_module("provwrap.monitor")
     real_hash = monitor.sha256_file
     calls = {caller: Counter() for caller in ("monitor", "classify", "bundle")}
     for caller, seen in calls.items():
-        def counting(path, seen=seen):
-            seen[Path(path)] += 1
-            return real_hash(path)
+        def counting(source, copy_to=None, seen=seen):
+            seen[Path(source if copy_to is None else copy_to)] += 1
+            return real_hash(source, copy_to=copy_to)
 
         module = importlib.import_module(f"provwrap.{caller}")
         monkeypatch.setattr(module, "sha256_file", counting)
@@ -750,7 +760,7 @@ class TestHashOncePerState:
         }
         assert all(path.is_file() for path in copies)
         # every digest was computed in this run, and no source's stat moved
-        # since, so no copy is read back
+        # since, so no copy is hashed
         assert calls["bundle"] == Counter()
         # the INPUT file: the before-snapshot only
         assert (
@@ -786,6 +796,56 @@ class TestHashOncePerState:
             [(1, "src/main.py"), (1, "inputs/data/input.csv")]
         )
 
+    def test_a_warm_run_reads_a_large_index_input_once_as_it_copies_it(
+        self, tmp_path, monkeypatch
+    ):
+        workdir = (tmp_path / "work").resolve()
+        _hash_project(workdir)
+        big = workdir / "data" / "input.csv"
+        big.write_bytes(b"0123456789,abcd\n" * ((_HASH_THREAD_FROM + _HASH_CHUNK) // 16 + 1))
+        size, inode = big.stat().st_size, big.stat().st_ino
+        monkeypatch.chdir(workdir)
+        assert run(_DIFF_RUN) == 0
+        calls = _count_hashes(monkeypatch)
+        read, sent, bundle_reads = [], [], []
+        real_pread, real_preadv = os.pread, os.preadv
+        real_sendfile, real_open = os.sendfile, os.open
+
+        def pread(fd, length, offset):
+            data = real_pread(fd, length, offset)
+            if os.fstat(fd).st_ino == inode:
+                read.append(len(data))
+            return data
+
+        def preadv(fd, buffers, offset):
+            length = real_preadv(fd, buffers, offset)
+            if os.fstat(fd).st_ino == inode:
+                read.append(length)
+            return length
+
+        def sendfile(out_fd, in_fd, offset, count):
+            sent.append(os.fstat(in_fd).st_ino)
+            return real_sendfile(out_fd, in_fd, offset, count)
+
+        def opening(path, flags, *args, **kwargs):
+            if flags & os.O_ACCMODE == os.O_RDONLY and str(path).startswith(f"{workdir}/prov_"):
+                bundle_reads.append(path)
+            return real_open(path, flags, *args, **kwargs)
+
+        for name, wrapper in [("pread", pread), ("preadv", preadv),
+                              ("sendfile", sendfile), ("open", opening)]:
+            monkeypatch.setattr(os, name, wrapper)
+
+        assert run(_DIFF_RUN) == 0
+
+        copy = workdir / "prov_1" / "inputs" / "data" / "input.csv"
+        assert copy.read_bytes() == big.read_bytes()
+        # the index vouched for its digest: hashed as it was copied, in one pass
+        assert sum(read) == size
+        assert bundle_reads == []
+        assert _places(calls["bundle"], workdir)[(1, "inputs/data/input.csv")] == 1
+        assert inode not in sent
+
     def test_file_written_just_before_the_run_is_hashed_once(self, tmp_path, monkeypatch):
         # The before-snapshot's stamp lets the after-snapshot reuse the
         # digest of a file written one ctime tick before the run.
@@ -810,7 +870,7 @@ class TestHashOncePerState:
 
 
 class TestCopyTrust:
-    """A copy is trusted without being read back only on a digest this run
+    """A copy is trusted without being hashed only on a digest this run
     computed and a source whose stat has not moved since."""
 
     def test_a_stale_index_digest_is_caught_at_the_copy(
@@ -1074,21 +1134,29 @@ class TestLinkRepeatedContent:
     main.py and their own output: 12 copies of 5 distinct contents."""
 
     def _run(self, workdir, monkeypatch):
-        """Run the child in workdir; return the files write_bundle copied."""
+        """Run the child in workdir; return the files write_bundle copied,
+        by sendfile or hashed as written."""
         bundle_module = importlib.import_module("provwrap.bundle")
-        real_copy = bundle_module._copy_from
+        real_copy, real_hash = bundle_module._copy_from, bundle_module.sha256_file
         created = []
 
         def counting(source, destination):
             created.append(destination)
             return real_copy(source, destination)
 
+        def hashing(source, copy_to=None):
+            if copy_to is not None:
+                created.append(copy_to)
+            return real_hash(source, copy_to=copy_to)
+
         monkeypatch.setattr(bundle_module, "_copy_from", counting)
+        monkeypatch.setattr(bundle_module, "sha256_file", hashing)
         monkeypatch.chdir(workdir)
         try:
             assert run(["--backend", "diff", "--", sys.executable, "main.py"]) == 0
         finally:
             monkeypatch.setattr(bundle_module, "_copy_from", real_copy)
+            monkeypatch.setattr(bundle_module, "sha256_file", real_hash)
         return created
 
     def test_repeated_content_is_one_read_only_inode(self, tmp_path, monkeypatch):
@@ -1161,7 +1229,7 @@ class TestLinkRepeatedContent:
 
     def test_only_copies_are_read_back_never_links(self, tmp_path, monkeypatch):
         # A warm run: every digest comes from the index, so each copy is
-        # read back once; the links to it are not read at all.
+        # hashed once, as it is written; the links to it are not read at all.
         workdir = (tmp_path / "work").resolve()
         _segmented_project(workdir)
         (workdir / "main.py").write_text(_SEGMENTED_READER)
@@ -1246,7 +1314,8 @@ def test_a_bundle_is_lost_exactly_when_it_is_absent(tmp_path, monkeypatch, capsy
 
 class TestALostSegmentCostsOnlyItsBundle:
     """Four segments: a.csv; shared.csv and b.csv, whose copy's digest is
-    wrong; shared.csv and c.csv; the trailing one. Every copy is read back."""
+    wrong; shared.csv and c.csv; the trailing one. Every copy is hashed as
+    it is written."""
 
     def _run(self, tmp_path, monkeypatch, capsys):
         workdir = (tmp_path / "work").resolve()
@@ -1259,9 +1328,11 @@ class TestALostSegmentCostsOnlyItsBundle:
         real_hash = bundle_module.sha256_file
         hashed = []
 
-        def wrong_for_b(path):
-            hashed.append(Path(path))
-            return "0" * 64 if Path(path).name == "b.csv" else real_hash(path)
+        def wrong_for_b(source, copy_to=None):
+            path = Path(source if copy_to is None else copy_to)
+            hashed.append(path)
+            digest = real_hash(source, copy_to=copy_to)
+            return "0" * 64 if path.name == "b.csv" else digest
 
         monkeypatch.setattr(bundle_module, "unchanged_since", lambda *args: False)
         monkeypatch.setattr(bundle_module, "sha256_file", wrong_for_b)

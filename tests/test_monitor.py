@@ -8,9 +8,11 @@ import json
 import os
 import random
 import stat
+import sys
 import tempfile
 import threading
 import time
+import types
 from pathlib import Path, PurePosixPath
 
 import pytest
@@ -30,12 +32,17 @@ from provwrap import (
 )
 from provwrap.classify import DEFAULT_EXCLUDES
 from provwrap.monitor import (
+    _HASH_CHUNK,
+    _HASH_THREAD_FROM,
     INDEX_VERSION,
     IndexEntry,
     matches_exclusion,
     parse_control_line,
+    sha256_file,
     unchanged_since,
 )
+
+from conftest import returns_within
 
 monitor = importlib.import_module("provwrap.monitor")
 
@@ -106,6 +113,25 @@ class TestTakeSnapshot:
             snap = take_snapshot(tmp_path)
         assert set(snap.entries) == {"fine.txt"}
         assert caplog.records == []
+
+    def test_a_file_swapped_for_a_fifo_before_its_hash_is_skipped(
+        self, tmp_path, monkeypatch
+    ):
+        # the walk's stat saw a regular file; by the open it is a FIFO
+        (tmp_path / "fine.txt").write_text("ok")
+        swapped = tmp_path / "swapped.csv"
+        swapped.write_text("x\n")
+        real = monitor.sha256_file
+
+        def swap_then_hash(path, *args, **kwargs):
+            if Path(path) == swapped:
+                swapped.unlink()
+                os.mkfifo(swapped)
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(monitor, "sha256_file", swap_then_hash)
+        snap = returns_within(10, swapped, take_snapshot, tmp_path)
+        assert set(snap.entries) == {"fine.txt"}
 
 
 def _counted_tree(root):
@@ -839,3 +865,123 @@ class TestControlStream:
         ]
         for directive in cases:
             assert parse_control_stream([directive.to_line()]) == [directive]
+
+
+# sizes around the read size and the second-thread threshold
+_HASH_SIZES = sorted({
+    0, 1, _HASH_CHUNK - 1, _HASH_CHUNK, _HASH_CHUNK + 1,
+    _HASH_THREAD_FROM - _HASH_CHUNK, _HASH_THREAD_FROM, _HASH_THREAD_FROM + 1,
+    _HASH_THREAD_FROM + _HASH_CHUNK,
+})
+
+
+def _open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+class TestSha256File:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from(_HASH_SIZES),
+        seed=st.integers(0, 2**32 - 1),
+        moved=st.integers(0, 2 * _HASH_THREAD_FROM),
+    )
+    def test_a_path_and_a_descriptor_hash_like_hashlib(self, size, seed, moved):
+        data = random.Random(seed).randbytes(size)
+        expected = hashlib.sha256(data).hexdigest()
+        with tempfile.TemporaryDirectory() as tmp:
+            source = Path(tmp) / "data.bin"
+            source.write_bytes(data)
+            copy = Path(tmp) / "copy.bin"
+            assert sha256_file(source) == expected
+            assert sha256_file(str(source)) == expected
+            fd = os.open(source, os.O_RDONLY)
+            try:
+                offset = os.lseek(fd, moved, os.SEEK_SET)  # past the end is allowed
+                assert sha256_file(fd) == expected
+                assert sha256_file(fd, copy_to=copy) == expected
+                assert os.lseek(fd, 0, os.SEEK_CUR) == offset
+            finally:
+                os.close(fd)
+            assert copy.read_bytes() == data
+
+    def test_eight_threads_at_once_under_a_tiny_switch_interval(self, tmp_path):
+        sizes = [_HASH_THREAD_FROM + _HASH_CHUNK // 2 + 977 * k for k in range(8)]
+        files = []
+        for k, size in enumerate(sizes):
+            data = random.Random(k).randbytes(size)
+            (tmp_path / f"in{k}.bin").write_bytes(data)
+            files.append((tmp_path / f"in{k}.bin", data, hashlib.sha256(data).hexdigest()))
+        threads_before = threading.enumerate()
+        start = threading.Barrier(len(files))
+        deadline = time.monotonic() + 1  # seconds
+        failures, rounds = [], []
+
+        def hammer(k):
+            source, data, expected = files[k]
+            copy = tmp_path / f"copy{k}.bin"
+            done = 0
+            try:
+                start.wait()
+                while not done or time.monotonic() < deadline:
+                    assert sha256_file(source) == expected
+                    with open(source, "rb") as handle:
+                        assert sha256_file(handle.fileno(), copy_to=copy) == expected
+                    assert copy.read_bytes() == data
+                    copy.unlink()
+                    done += 1
+            except BaseException as exc:
+                failures.append(exc)
+            rounds.append(done)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,)) for k in range(len(files))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == []
+        assert len(rounds) == len(files) and min(rounds) >= 1
+        assert threading.enumerate() == threads_before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_an_error_in_the_hashing_thread_is_raised_in_the_caller(
+        self, tmp_path, monkeypatch, k
+    ):
+        data = random.Random(k).randbytes(_HASH_THREAD_FROM + 3 * _HASH_CHUNK)
+        source = tmp_path / "in.bin"
+        source.write_bytes(data)
+        real_sha256 = hashlib.sha256
+
+        class FailingDigest:
+            def __init__(self):
+                self.digest, self.updates = real_sha256(), 0
+
+            def update(self, chunk):
+                self.updates += 1
+                if self.updates == k:
+                    raise MemoryError("injected")
+                self.digest.update(chunk)
+
+        monkeypatch.setattr(monitor, "hashlib", types.SimpleNamespace(sha256=FailingDigest))
+        threads_before, fds_before = threading.enumerate(), _open_fds()
+        with pytest.raises(MemoryError, match="injected"):
+            sha256_file(source, copy_to=tmp_path / "copy.bin")
+        assert threading.enumerate() == threads_before
+        assert _open_fds() == fds_before
+
+    def test_a_fifo_is_refused_without_waiting_for_a_writer(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+
+        def refused(path):
+            with pytest.raises(OSError, match="not a regular file"):
+                sha256_file(path)
+            return True
+
+        assert returns_within(10, fifo, refused, fifo)

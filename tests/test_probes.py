@@ -25,7 +25,7 @@ def test_probes_install_trace_a_run_and_uninstall(tmp_path, monkeypatch):
     monkeypatch.chdir(workdir)
     command = ["--backend", "diff", "--", sys.executable, "examples/main.py"]
     # A warm run, as the benchmark makes them: the three unchanged files'
-    # digests come from the digest index, so their copies are read back;
+    # digests come from the digest index, so their copies are hashed;
     # example.png is made again and its digest is this run's, so it is not.
     assert cli.run(command) == 0
     (workdir / "example.png").unlink()
