@@ -93,11 +93,11 @@ def _open_file(path: Path) -> tuple[int, os.stat_result] | None:
     return None
 
 
-def _copy_from(source: int, destination: Path) -> None:
-    """Write the regular file open as source into destination, from offset 0.
-
-    The kernel moves the bytes (sendfile, as shutil.copyfile does on Linux);
-    where sendfile cannot write to a file, they pass through a buffer.
+def _copy_from(source: int, destination: Path) -> bool:
+    """Have the kernel copy the regular file open as source into destination,
+    from offset 0 (sendfile, as shutil.copyfile does on Linux). False, with
+    destination empty, when sendfile refuses before the first byte, as on a
+    FUSE source or where it writes only to sockets.
     """
     with open(destination, "wb") as out:
         offset = 0
@@ -107,8 +107,8 @@ def _copy_from(source: int, destination: Path) -> None:
         except OSError as exc:
             if offset or exc.errno not in (errno.EINVAL, errno.ENOSYS, errno.ENOTSOCK):
                 raise
-            with open(source, "rb", closefd=False) as handle:
-                shutil.copyfileobj(handle, out)
+            return False
+    return True
 
 
 def write_bundle(
@@ -138,11 +138,11 @@ def write_bundle(
     holds for the first fstat, sendfile copies it, and it is verified
     without being read if the second holds too (the source held the hashed
     bytes throughout), or read back and hashed if not. Otherwise (a digest
-    from the digest index, a ctime tie, or a root without a stamp) the copy
-    is hashed as it is written, by `sha256_file(fd, copy_to=...)`. A source
-    that is gone or no longer a regular file is kept as metadata only, with
-    a warning. Then one document is built from the records as they stand; it
-    and the crate take the segment's name.
+    from the digest index, a ctime tie, a root without a stamp, or a refused
+    sendfile) the copy is hashed as it is written, by `sha256_file(fd,
+    copy_to=...)`. A source that is gone or no longer a regular file is kept
+    as metadata only, with a warning. Then one document is built from the
+    records as they stand; it and the crate take the segment's name.
 
     links, when given, maps a recorded (sha256, size_bytes) to the first
     published bundle copy with that content; the caller owns it and passes
@@ -194,8 +194,7 @@ def write_bundle(
                 shared = None if links is None else links.get(content, made.get(content))
                 if shared is None or not _link_shared(shared, destination):
                     proof = record.proof
-                    if proof is not None and unchanged_since(before, *proof):
-                        _copy_from(fd, destination)
+                    if proof and unchanged_since(before, *proof) and _copy_from(fd, destination):
                         held = unchanged_since(os.fstat(fd), *proof)
                         copied = record.sha256 if held else sha256_file(destination)
                     else:  # copy_to by keyword: a wrapper that stats the arguments sees fd

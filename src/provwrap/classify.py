@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import glob
 import logging
+import os
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -139,10 +140,11 @@ def directive_path(directive: ControlDirective, resolve: PathResolver) -> Path |
     """Return the path a directive names, by resolve, or None if it names none.
 
     END_RUN names no path, and a path holding TAB or LF is ignored: the
-    control format cannot carry it. resolve takes it from the working directory.
+    control format cannot carry it; nor NUL, which no file name holds.
+    resolve takes it from the working directory.
     """
     raw = directive.path
-    if directive.kind is DirectiveKind.END_RUN or "\t" in raw or "\n" in raw:
+    if directive.kind is DirectiveKind.END_RUN or "\t" in raw or "\n" in raw or "\0" in raw:
         return None
     return resolve(raw)
 
@@ -165,15 +167,15 @@ def exclusion_patterns(
 def watched_roots(config: RunConfig, cwd: Path) -> list[Path]:
     """Return cwd and each watch directory that exists (taken from cwd), resolved.
 
-    A watch directory that does not exist is skipped with a warning. One at
-    or under a root already listed is left out: that root's snapshot
-    already covers it, so no file is snapshotted twice.
+    A watch directory that does not exist or cannot be read is skipped with
+    a warning. One at or under a root already listed is left out: that
+    root's snapshot already covers it, so no file is snapshotted twice.
     """
     roots = [cwd]
     for extra in config.watch_dirs:
         extra = (cwd / extra).resolve()
-        if not extra.is_dir():
-            log.warning("watch directory does not exist, skipping: %s", extra)
+        if not os.path.isdir(extra):
+            log.warning("watch directory does not exist or cannot be read, skipping: %s", extra)
         elif locate(roots)(extra) is None:
             roots.append(extra)
     return roots
@@ -364,8 +366,8 @@ def classify(
                 # checks the copy against it, or, with a proof, the
                 # source's stat, so a later change is caught
                 measured[path] = entry[0], entry[2], snapshot.copy_proof(rel)
-            elif not path.is_file():
-                measured[path] = None if path.exists() else (None, None, None)
+            elif not os.path.isfile(path):  # os.path answers False where stat fails
+                measured[path] = None if os.path.exists(path) else (None, None, None)
             else:
                 size = None
                 try:
@@ -407,14 +409,14 @@ def classify(
             path = directive_path(item, resolve)
             if path is None:
                 errors.append(
-                    f"directive path contains TAB/LF and was ignored: {item.path!r}"
+                    f"directive path contains TAB/LF/NUL and was ignored: {item.path!r}"
                 )
             elif scope(path)[1]:
                 continue
             elif item.kind is DirectiveKind.UNTRACK:
                 states.setdefault(path, _PathState()).untracked = True
-            elif path not in named and not path.exists():
-                errors.append(f"directive path does not exist: {item.path!r}")
+            elif path not in named and not os.path.exists(path):
+                errors.append(f"directive path does not exist or cannot be read: {item.path!r}")
             else:
                 st = states.setdefault(path, _PathState())
                 st.user_logged = True

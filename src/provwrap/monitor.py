@@ -124,37 +124,25 @@ def _glob_regex(pattern: str) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _exclusion_regexes(patterns: tuple[str, ...]) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """Matchers of "a pattern matches the path" and "... the path or one of
-    its ancestors": a prefix matches and is the whole path or ends before a
-    "/" that is not the first character, so an empty pattern never matches
-    an absolute path through the empty text before its leading "/"."""
+def _exclusion_regex(patterns: tuple[str, ...]) -> re.Pattern[str]:
+    """Matcher of "a pattern matches the path or one of its ancestors": a
+    prefix matches and is the whole path or ends before a "/" that is not
+    the first character, so an empty pattern never matches an absolute path
+    through the empty text before its leading "/"."""
     globs = "(?:" + "|".join(_glob_regex(pattern) for pattern in patterns) + ")"
-    return re.compile(globs + r"\Z"), re.compile(globs + r"(?:\Z|(?<=.)/)", re.DOTALL)
+    return re.compile(globs + r"(?:\Z|(?<=.)/)", re.DOTALL)
 
 
 def matches_exclusion(rel_path: str, patterns: Sequence[str]) -> bool:
     """True when rel_path or any of its ancestor directories matches a glob.
 
-    rel_path itself is matched as given; its ancestors are matched in the
-    normalized form PurePosixPath prints them in (no "." components, no
-    doubled or trailing slashes). A normalized rel_path, as a snapshot walk
-    passes, costs one regex match for itself and every ancestor.
+    rel_path is a normalized name, or ".": no empty, "." or ".." component
+    and no trailing "/", and an absolute path keeps its single leading "/".
+    A snapshot walk and `classify.locate` build names that way. Its
+    ancestors are then its prefixes that end before a "/", so one regex
+    match tests the name and all of them.
     """
-    if not patterns:
-        return False
-    own, own_or_above = _exclusion_regexes(tuple(patterns))
-    if not (
-        "//" in rel_path or "/./" in rel_path or rel_path.startswith("./")
-        or rel_path.endswith(("/", "/.")) or rel_path == "."
-    ):  # already normalized: one match covers it and its ancestors
-        return own_or_above.match(rel_path) is not None
-    if own.match(rel_path):
-        return True
-    parts = [part for part in rel_path.split("/") if part not in ("", ".")]
-    path = ("/" if rel_path.startswith("/") else "") + "/".join(parts)
-    end = path.rfind("/")  # the normalized parent, matched with its ancestors
-    return end > 0 and own_or_above.match(path[:end]) is not None
+    return bool(patterns) and _exclusion_regex(tuple(patterns)).match(rel_path) is not None
 
 
 class EventKind(Enum):

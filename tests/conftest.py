@@ -1,10 +1,13 @@
 """Shared builders for provenance-model test inputs."""
 
+import contextlib
+import errno
+import importlib
 import os
 import textwrap
 import threading
 from datetime import datetime, timezone
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 
 import pytest
 from hypothesis import settings
@@ -65,6 +68,32 @@ def returns_within(seconds: float, fifo: Path, fn, *args):
     return result[0]
 
 
+def is_normalized(name: str) -> bool:
+    """True for a name monitor.matches_exclusion takes: "." or a name with no
+    empty, "." or ".." component and no trailing "/" (one leading "/" at most)."""
+    return (
+        name == str(PurePosixPath(name))
+        and ".." not in name.split("/")
+        and not name.startswith("//")
+    )
+
+
+@contextlib.contextmanager
+def only_normalized_exclusion_names():
+    """Within it, monitor's and classify's matches_exclusion fail on any name
+    that is_normalized refuses."""
+    with pytest.MonkeyPatch.context() as patch:
+        for module in ("provwrap.monitor", "provwrap.classify"):
+            module = importlib.import_module(module)
+
+            def guarded(rel_path, patterns, real=module.matches_exclusion):
+                assert is_normalized(rel_path), rel_path
+                return real(rel_path, patterns)
+
+            patch.setattr(module, "matches_exclusion", guarded)
+        yield
+
+
 def write_sample_project(workdir: Path) -> None:
     """The deterministic golden fixture: a script that reads
     assets/results.csv, logs it on the control channel, and writes an
@@ -112,3 +141,38 @@ def meta() -> RunMetadata:
 @pytest.fixture
 def config() -> RunConfig:
     return RunConfig()
+
+
+@pytest.fixture(
+    params=[
+        "stat",
+        pytest.param(
+            "chmod",
+            marks=pytest.mark.skipif(os.geteuid() == 0, reason="root ignores directory modes"),
+        ),
+    ]
+)
+def deny(request, monkeypatch):
+    """deny(*paths): from then on, stat of each path fails with EACCES,
+    through a patched os.stat, or through a chmod 000 of its directory,
+    undone at teardown (skipped as root, which ignores modes)."""
+    denied, locked = set(), []
+    real_stat = os.stat
+
+    def stat(path, *args, **kwargs):
+        if isinstance(path, (str, os.PathLike)) and os.fspath(path) in denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return real_stat(path, *args, **kwargs)
+
+    def deny_paths(*paths):
+        for path in paths:
+            if request.param == "stat":
+                denied.add(str(path))
+                monkeypatch.setattr(os, "stat", stat)
+            else:
+                locked.append(path.parent)
+                path.parent.chmod(0)
+
+    yield deny_paths
+    for directory in locked:
+        directory.chmod(0o755)

@@ -157,25 +157,6 @@ class TestWriteBundle:
             workdir / "data.bin"
         ).read_bytes()
 
-    def test_copy_passes_through_a_buffer_where_sendfile_refuses_a_file(
-        self, tmp_path, config, monkeypatch
-    ):
-        import errno
-
-        workdir = tmp_path / "work"
-        workdir.mkdir()
-        segment = _segment_from_tree(workdir, [("data.bin", Category.INPUT)])
-
-        def refuse(*args):
-            raise OSError(errno.ENOTSOCK, "Socket operation on non-socket")
-
-        monkeypatch.setattr(os, "sendfile", refuse)
-        bundle_dir = allocate_run_dir("prov", tmp_path)
-        write_bundle(segment, make_meta(), config, bundle_dir)
-        assert (bundle_dir / "inputs/data.bin").read_bytes() == (
-            workdir / "data.bin"
-        ).read_bytes()
-
     def test_zero_record_segment(self, tmp_path, config):
         segment = RunSegment(name="experiment_run")
         meta = make_meta()
@@ -385,6 +366,39 @@ class TestCopyCheck:
             workdir / "chart.png"
         ).read_bytes()
         assert report.bytes_copied == segment.records[0].size_bytes
+
+    @pytest.mark.parametrize("refusal", ["EINVAL", "ENOSYS", "ENOTSOCK"])
+    def test_a_copy_sendfile_refuses_is_hashed_as_it_is_written(
+        self, tmp_path, config, monkeypatch, refusal
+    ):
+        import provwrap.bundle as bundle_module
+
+        workdir = tmp_path / "work"
+        workdir.mkdir()
+        segment = _proved_segment(workdir, 1)  # a proof: sendfile is tried first
+        refused, hashed = [], []
+
+        def refuse(*args):
+            refused.append(args)
+            raise OSError(getattr(errno, refusal), refusal)
+
+        real = bundle_module.sha256_file
+        monkeypatch.setattr(os, "sendfile", refuse)
+        monkeypatch.setattr(
+            bundle_module,
+            "sha256_file",
+            lambda source, copy_to=None: hashed.append((source, copy_to))
+            or real(source, copy_to=copy_to),
+        )
+        bundle_dir = allocate_run_dir("prov", tmp_path)
+        write_bundle(segment, make_meta(), config, bundle_dir)
+        assert len(refused) == 1
+        assert len(hashed) == 1
+        source, copy_to = hashed[0]
+        assert isinstance(source, int) and copy_to is not None
+        assert (bundle_dir / "outputs/chart.png").read_bytes() == (
+            workdir / "chart.png"
+        ).read_bytes()
 
     @pytest.mark.parametrize("when", ["before", "during"])
     def test_a_source_changed_after_its_digest_is_caught(

@@ -35,7 +35,7 @@ from provwrap import (
 from provwrap.classify import locate, unify_timeline, watched_roots
 from provwrap.cli import build_arg_parser
 
-from conftest import make_meta, make_record, returns_within
+from conftest import make_meta, make_record, only_normalized_exclusion_names, returns_within
 
 
 def _event(path, kind):
@@ -236,12 +236,25 @@ class TestDirectiveErrors:
         assert segments[0].records == []
         assert any("does not exist" in e for e in segments[0].errors)
 
+    @pytest.mark.parametrize("trace_order", [False, True], ids=["diff", "trace"])
+    def test_a_nul_in_a_directive_path_costs_only_that_line(
+        self, workdir, config, trace_order
+    ):
+        (workdir / "data.csv").write_text("x\n")
+        directives = parse_control_stream(["INPUT\tdata.csv", "INPUT\ta\0b/c.csv"])
+        timeline = unify_timeline([], directives, None, trace_order=trace_order, cwd=workdir)
+        segments = classify(timeline, config, workdir)
+        assert [r.bundle_relative_path for r in segments[0].records] == ["inputs/data.csv"]
+        assert segments[0].errors == [
+            "directive path contains TAB/LF/NUL and was ignored: 'a\\x00b/c.csv'"
+        ]
+
     def test_missing_directive_path_inside_cwd_gives_no_record(self, workdir, config):
         segments = classify(
             [_directive(DirectiveKind.INPUT, "nope")], config, workdir
         )
         assert segments[0].records == []
-        assert segments[0].errors == ["directive path does not exist: 'nope'"]
+        assert segments[0].errors == ["directive path does not exist or cannot be read: 'nope'"]
 
     def test_directive_on_a_symlink_loop_gives_no_record(self, workdir, config):
         (workdir / "loop").symlink_to("loop")
@@ -249,7 +262,42 @@ class TestDirectiveErrors:
             [_directive(DirectiveKind.INPUT, "loop")], config, workdir
         )
         assert segments[0].records == []
-        assert segments[0].errors == ["directive path does not exist: 'loop'"]
+        assert segments[0].errors == ["directive path does not exist or cannot be read: 'loop'"]
+
+    def test_a_directive_path_that_cannot_be_stated_gives_no_record(
+        self, workdir, config, deny
+    ):
+        locked = workdir / "locked" / "x.csv"
+        locked.parent.mkdir()
+        locked.write_text("x\n")
+        work = workdir / "work"
+        work.mkdir()
+        deny(locked)
+        segments = classify([_directive(DirectiveKind.INPUT, "../locked/x.csv")], config, work)
+        assert segments[0].records == []
+        assert segments[0].errors == [
+            "directive path does not exist or cannot be read: '../locked/x.csv'"
+        ]
+
+    def test_an_event_path_that_cannot_be_stated_is_vanished(self, workdir, config, deny):
+        locked = workdir / "locked" / "x.csv"
+        locked.parent.mkdir()
+        locked.write_text("x\n")
+        deny(locked)
+        segments = classify([_event(locked, EventKind.READ_INTENT)], config, workdir)
+        [record] = segments[0].records
+        assert (record.copied, record.skip_reason, record.sha256) == (False, "vanished", None)
+        assert segments[0].errors == []
+
+    def test_a_watch_directory_that_cannot_be_stated_is_skipped(
+        self, workdir, config, deny, caplog
+    ):
+        (workdir / "locked" / "sub").mkdir(parents=True)
+        deny(workdir / "locked" / "sub")
+        config = dataclasses.replace(config, watch_dirs=(Path("locked/sub"),))
+        with caplog.at_level("WARNING"):
+            assert watched_roots(config, workdir) == [workdir]
+        assert any("cannot be read, skipping" in r.getMessage() for r in caplog.records)
 
     @pytest.mark.parametrize("make", [os.mkdir, os.mkfifo], ids=["directory", "fifo"])
     def test_directive_on_something_not_a_regular_file_gives_no_record(
@@ -787,7 +835,7 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
                 spelling = str(path_of[name]) if absolute else name
                 if "\t" in spelling:
                     errors.append(
-                        f"directive path contains TAB/LF and was ignored: {spelling!r}"
+                        f"directive path contains TAB/LF/NUL and was ignored: {spelling!r}"
                     )
                     continue
             if name == _EXCLUDED:
@@ -797,7 +845,7 @@ def _model(items, kinds, with_entry, input_copies, big, cwd):
                 continue
             if isinstance(kind, DirectiveKind):
                 if path_of[name] not in named and kinds[name] == "missing":
-                    errors.append(f"directive path does not exist: {spelling!r}")
+                    errors.append(f"directive path does not exist or cannot be read: {spelling!r}")
                     continue
                 logged.add(name)
             mentioned.append(name)
@@ -901,7 +949,8 @@ def test_classify_agrees_with_the_reference_model(
                 timeline.append(_directive(DirectiveKind.END_RUN, run_name=item[1]))
         config = RunConfig(input_copies=input_copies, skip_files_larger_than=1)
         entry = cwd / _ENTRY if with_entry else None
-        segments = classify(timeline, config, cwd, entry_script=entry)
+        with only_normalized_exclusion_names():
+            segments = classify(timeline, config, cwd, entry_script=entry)
         actual = [
             (
                 segment.name,

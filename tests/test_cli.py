@@ -607,6 +607,31 @@ class TestRunEndToEnd:
         assert sum("watch directory does not exist" in m for m in messages) == 1
         assert sum("directive path does not exist" in m for m in messages) == 1
 
+    def test_unreadable_paths_and_a_nul_cost_only_their_own_lines(self, project, deny, caplog):
+        locked = project / "locked"
+        (locked / "sub").mkdir(parents=True)
+        (locked / "x.csv").write_text("x\n")
+        (project / "data.csv").write_text("a,b\n")
+        deny(locked / "sub", locked / "x.csv")
+        child = (
+            "import os\n"
+            "with open(os.environ['YPROV_CONTROL'], 'a') as fh:\n"
+            "    fh.write('INPUT\\tdata.csv\\nINPUT\\ta\\x00b/c.csv\\nINPUT\\tlocked/x.csv\\n')\n"
+        )
+        with caplog.at_level("WARNING"):
+            status = run(
+                ["--backend", "diff", "--watch", "locked/sub", "--", sys.executable, "-c", child]
+            )
+        assert status == 0
+        assert (project / "prov_0" / "inputs" / "data.csv").read_text() == "a,b\n"
+        messages = [r.getMessage() for r in caplog.records]
+        for expected in (
+            "watch directory does not exist or cannot be read, skipping",
+            "directive path contains TAB/LF/NUL and was ignored: 'a\\x00b/c.csv'",
+            "directive path does not exist or cannot be read: 'locked/x.csv'",
+        ):
+            assert sum(expected in m for m in messages) == 1, (expected, messages)
+
 
 def _scripted_backend(calls, collect_error=None):
     """A backend that records how `run` drives it and observes nothing."""
